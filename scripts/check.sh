@@ -4,7 +4,8 @@
 # observability sinks (LVF2_TRACE / LVF2_METRICS / LVF2_LOG) against
 # a real pipeline run, then the QoR regression gate: a fixed-seed
 # manifest run diffed arc-by-arc against scripts/golden/
-# qor_manifest.json with lvf2_report.
+# qor_manifest.json with lvf2_report, plus a 4-bit adder path run
+# diffed against scripts/golden/path_manifest.json.
 #
 # Tier-1.5 (--sanitize): the same gate rebuilt under ASan + UBSan in
 # its own build directory, plus an everything-armed fault-injection
@@ -65,7 +66,8 @@
 #        (default build-dir: build, build-asan with --sanitize,
 #        build-tsan with --tsan)
 #        --update-golden: re-record scripts/golden/qor_manifest.json
-#        from the current build instead of diffing against it.
+#        and scripts/golden/path_manifest.json from the current build
+#        instead of diffing against them.
 #        --update-perf-golden: re-record scripts/golden/
 #        perf_manifest.json from the current --perf run.
 #        --update-yield-golden: re-record scripts/golden/
@@ -726,11 +728,23 @@ REPORT="$BUILD_DIR/tools/lvf2_report"
 LVF2_SIMD=scalar LVF2_MANIFEST="$SMOKE_DIR/manifest_scalar.json" \
   "$BUILD_DIR/bench/bench_table1_scenarios" --samples 4000 --seed 2024 \
   >/dev/null
+# The second scalar-tier golden: the 4-bit adder carry-chain endpoint
+# row. Its numbers depend on every Norm2/LVF2 fit_weighted refit along
+# the path, not only on the five raw-sample fits of the table-1 run.
+PATH_GOLDEN=scripts/golden/path_manifest.json
+LVF2_SIMD=scalar LVF2_MANIFEST="$SMOKE_DIR/path_scalar.json" \
+  "$BUILD_DIR/examples/ssta_path" 4 >/dev/null
 if [ "$UPDATE_GOLDEN" = 1 ]; then
   mkdir -p scripts/golden
   "$REPORT" canon "$SMOKE_DIR/manifest_scalar.json" > "$GOLDEN"
-  echo "re-recorded $GOLDEN from the scalar-tier run"
+  "$REPORT" canon "$SMOKE_DIR/path_scalar.json" > "$PATH_GOLDEN"
+  echo "re-recorded $GOLDEN and $PATH_GOLDEN from the scalar-tier runs"
 elif [ -f "$GOLDEN" ]; then
+  "$REPORT" diff "$PATH_GOLDEN" "$SMOKE_DIR/path_scalar.json" \
+      --rtol 0 --atol 0 \
+    || { echo "FAIL: the scalar tier no longer reproduces $PATH_GOLDEN" \
+              "bitwise (rerun with --update-golden only if the scalar" \
+              "numerics changed intentionally)"; exit 1; }
   "$REPORT" diff "$GOLDEN" "$SMOKE_DIR/manifest_scalar.json" \
       --rtol 0 --atol 0 \
     || { echo "FAIL: the scalar tier no longer reproduces $GOLDEN" \
