@@ -1,12 +1,18 @@
 #pragma once
-// Shared infrastructure for the EM-based mixture fits (Norm^2 and
-// LVF^2): the binned-likelihood data compression and the EM iteration
-// report.
+// The one EM engine behind every mixture model (LVF^2, Norm^2, LVF^k)
+// and its binned-likelihood data. The paper's recipe (Section 3.2):
+// k-means + method-of-moments start, E-step responsibilities (Eq. 6),
+// weighted-MLE M-step (Eq. 7-9). A component family (em.cpp) supplies
+// only its start and M-step on top of the component's batched log-pdf,
+// from_moments and affine rescale; the engine owns everything else
+// (DESIGN.md decision 23).
 
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <vector>
 
+#include "core/mixture.h"
 #include "core/timing_model.h"
 
 namespace lvf2::core {
@@ -34,14 +40,14 @@ WeightedData make_weighted_data(std::span<const double> samples,
 WeightedData make_weighted_data(const stats::GridPdf& pdf);
 
 /// How far down the graceful-degradation chain a fit had to walk:
-///   validated samples -> mixture EM -> lambda = 0 single SN ->
-///   moment-matched normal / point mass.
+///   validated samples -> mixture EM -> single component ->
+///   moment-matched point mass.
 /// Every downgrade is also counted under a robust.downgrade.* metric.
 enum class FitDegradation : int {
-  kNone = 0,       ///< full two-component mixture fit
-  kSingleSn,       ///< fell back to the lambda = 0 single skew-normal
-                   ///< (paper Eq. 10 backward-compatibility target)
-  kMomentNormal,   ///< moment-matched normal / point mass (last rung)
+  kNone = 0,       ///< full mixture fit
+  kSingleSn,       ///< one moment-matched component (for LVF^2 the
+                   ///< lambda = 0 skew-normal of paper Eq. 10)
+  kMomentNormal,   ///< moment-matched point mass (last rung)
   kRejected,       ///< nothing fittable at all (fit returned nullopt)
 };
 
@@ -61,5 +67,51 @@ struct EmReport {
   std::size_t clipped_samples = 0;  ///< outlier samples winsorized
   FitDegradation degradation = FitDegradation::kNone;
 };
+
+/// EM starts (DESIGN.md decision 7); the splits apply at K = 2 only.
+enum class EmStart {
+  kKMeans,      ///< k-means clusters + per-cluster moments (Sec. 3.2)
+  kWidthSplit,  ///< same-center narrow/wide pair (scale mixtures)
+  kTailSplit,   ///< bulk vs upper 15 % tail (low-weight minority modes)
+};
+inline constexpr EmStart kAllStarts[] = {
+    EmStart::kKMeans, EmStart::kWidthSplit, EmStart::kTailSplit};
+
+/// One EM run. report.collapsed marks a run that failed (a weight
+/// below 1e-6, a failed M-step, a non-finite or oscillating
+/// likelihood); its mixture is then empty.
+template <class C>
+struct EmRun {
+  Mixture<C> mixture;
+  EmReport report;
+};
+
+/// EM from `start` for at most options.em_max_iterations iterations:
+/// the single loop every fit runs. report.log_likelihood is that of
+/// the last E-step, i.e. of the parameters before the last M-step.
+template <class C>
+EmRun<C> run_em(const WeightedData& data, const Mixture<C>& start,
+                const FitOptions& options);
+
+/// K-component fit from `starts` (in tie-breaking order; staged
+/// multi-start when two or more apply), with ascending-mean order,
+/// moment pinning and the single-component likelihood guard.
+/// Degenerate data walks the degradation chain; only empty or
+/// non-finite data returns nullopt. K = 1 is the moment fit.
+template <class C>
+std::optional<Mixture<C>> fit_mixture(const WeightedData& data,
+                                      std::size_t k,
+                                      std::span<const EmStart> starts,
+                                      const FitOptions& options,
+                                      EmReport* report);
+
+/// Raw-sample form: drops non-finite samples and winsorizes absurd
+/// outliers first, then bins per `options`.
+template <class C>
+std::optional<Mixture<C>> fit_mixture(std::span<const double> samples,
+                                      std::size_t k,
+                                      std::span<const EmStart> starts,
+                                      const FitOptions& options,
+                                      EmReport* report);
 
 }  // namespace lvf2::core

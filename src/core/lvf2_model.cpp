@@ -1,30 +1,6 @@
 #include "core/lvf2_model.h"
 
-#include <algorithm>
-#include <array>
-#include <cmath>
-#include <limits>
-#include <stdexcept>
-#include <vector>
-
-#include "core/cancel.h"
-#include "obs/obs.h"
-#include "robust/faults.h"
-#include "simd/simd.h"
-#include "stats/descriptive.h"
-#include "stats/kmeans.h"
-#include "stats/optimize.h"
-#include "stats/special_functions.h"
-
 namespace lvf2::core {
-
-Lvf2Model::Lvf2Model(double lambda, const stats::SkewNormal& first,
-                     const stats::SkewNormal& second)
-    : lambda_(lambda), first_(first), second_(second) {
-  if (!(lambda >= 0.0 && lambda <= 1.0)) {
-    throw std::invalid_argument("Lvf2Model: lambda must be in [0,1]");
-  }
-}
 
 Lvf2Model Lvf2Model::from_lvf(const stats::SkewNormal& lvf) {
   return Lvf2Model(0.0, lvf, lvf);
@@ -36,600 +12,22 @@ Lvf2Model Lvf2Model::from_parameters(const Lvf2Parameters& p) {
 }
 
 Lvf2Parameters Lvf2Model::parameters() const {
-  return Lvf2Parameters{lambda_, first_.to_moments(), second_.to_moments()};
+  return Lvf2Parameters{lambda(), component1().to_moments(),
+                        component2().to_moments()};
 }
-
-double Lvf2Model::pdf(double x) const {
-  return (1.0 - lambda_) * first_.pdf(x) + lambda_ * second_.pdf(x);
-}
-
-double Lvf2Model::log_pdf(double x) const {
-  if (lambda_ <= 0.0) return first_.log_pdf(x);
-  if (lambda_ >= 1.0) return second_.log_pdf(x);
-  return stats::log_sum_exp(std::log(1.0 - lambda_) + first_.log_pdf(x),
-                            std::log(lambda_) + second_.log_pdf(x));
-}
-
-double Lvf2Model::cdf(double x) const {
-  return (1.0 - lambda_) * first_.cdf(x) + lambda_ * second_.cdf(x);
-}
-
-void Lvf2Model::pdf_batch(std::span<const double> x,
-                          std::span<double> out) const {
-  std::vector<double> buf(x.size());
-  first_.pdf(x, out);
-  second_.pdf(x, buf);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    out[i] = (1.0 - lambda_) * out[i] + lambda_ * buf[i];
-  }
-}
-
-void Lvf2Model::cdf_batch(std::span<const double> x,
-                          std::span<double> out) const {
-  std::vector<double> buf(x.size());
-  first_.cdf(x, out);
-  second_.cdf(x, buf);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    out[i] = (1.0 - lambda_) * out[i] + lambda_ * buf[i];
-  }
-}
-
-double Lvf2Model::quantile(double p) const {
-  if (p <= 0.0) return -std::numeric_limits<double>::infinity();
-  if (p >= 1.0) return std::numeric_limits<double>::infinity();
-  const double lo = std::min(first_.quantile(1e-12), second_.quantile(1e-12));
-  const double hi = std::max(first_.quantile(1.0 - 1e-12),
-                             second_.quantile(1.0 - 1e-12));
-  const auto f = [&](double x) { return cdf(x) - p; };
-  return stats::bisect_root(f, lo, hi, 1e-13 * std::max(stddev(), 1e-30)).x;
-}
-
-double Lvf2Model::mean() const {
-  return (1.0 - lambda_) * first_.mean() + lambda_ * second_.mean();
-}
-
-double Lvf2Model::stddev() const {
-  const double mu = mean();
-  const double d1 = first_.mean() - mu;
-  const double d2 = second_.mean() - mu;
-  const double var = (1.0 - lambda_) * (first_.variance() + d1 * d1) +
-                     lambda_ * (second_.variance() + d2 * d2);
-  return std::sqrt(var);
-}
-
-double Lvf2Model::skewness() const {
-  // Third central moment of a mixture from component central moments:
-  //   m3 = sum_k w_k (m3_k + 3 d_k var_k + d_k^3),  d_k = mu_k - mu.
-  const double mu = mean();
-  const double w[2] = {1.0 - lambda_, lambda_};
-  const stats::SkewNormal* comp[2] = {&first_, &second_};
-  double m2 = 0.0, m3 = 0.0;
-  for (int k = 0; k < 2; ++k) {
-    const double d = comp[k]->mean() - mu;
-    const double var = comp[k]->variance();
-    const double sk3 = comp[k]->skewness() * var * comp[k]->stddev();
-    m2 += w[k] * (var + d * d);
-    m3 += w[k] * (sk3 + 3.0 * d * var + d * d * d);
-  }
-  return (m2 > 0.0) ? m3 / (m2 * std::sqrt(m2)) : 0.0;
-}
-
-double Lvf2Model::sample(stats::Rng& rng) const {
-  return (rng.uniform() < lambda_) ? second_.sample(rng) : first_.sample(rng);
-}
-
-double Lvf2Model::log_likelihood(const WeightedData& data) const {
-  const std::size_t n = data.size();
-  std::vector<double> lp1(n);
-  if (lambda_ <= 0.0 || lambda_ >= 1.0) {
-    // Single active component: one batch log-pdf pass.
-    const stats::SkewNormal& active = (lambda_ >= 1.0) ? second_ : first_;
-    active.log_pdf(data.x, lp1);
-    double ll = 0.0;
-    for (std::size_t i = 0; i < n; ++i) ll += data.w[i] * lp1[i];
-    return ll;
-  }
-  std::vector<double> lp2(n), resp(n), lse(n);
-  first_.log_pdf(data.x, lp1);
-  second_.log_pdf(data.x, lp2);
-  simd::em_responsibilities(std::log(1.0 - lambda_), std::log(lambda_), lp1,
-                            lp2, resp, lse);
-  double ll = 0.0;
-  for (std::size_t i = 0; i < n; ++i) ll += data.w[i] * lse[i];
-  return ll;
-}
-
-namespace {
-
-// One EM initialization: a weight plus two starting components.
-struct EmInit {
-  double lambda = 0.5;
-  stats::SkewNormal comp[2];
-};
-
-// K-means partition + method of moments per group (paper Section
-// 3.2) — the location-split initialization.
-std::optional<EmInit> kmeans_init(const WeightedData& data,
-                                  const stats::Moments& global,
-                                  std::uint64_t seed) {
-  stats::Rng rng(seed);
-  const stats::KMeansResult km =
-      stats::kmeans_1d(data.x, 2, rng, {}, data.w);
-  if (km.centers.size() != 2) return std::nullopt;
-  const std::size_t n = data.size();
-  std::vector<double> cluster_w[2];
-  for (int c = 0; c < 2; ++c) cluster_w[c].assign(n, 0.0);
-  double wsum[2] = {0.0, 0.0};
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t c = km.assignment[i];
-    cluster_w[c][i] = data.w[i];
-    wsum[c] += data.w[i];
-  }
-  if (wsum[0] <= 0.0 || wsum[1] <= 0.0) return std::nullopt;
-  EmInit init;
-  for (int c = 0; c < 2; ++c) {
-    const auto mom = stats::compute_weighted_moments(data.x, cluster_w[c]);
-    if (mom.stddev > 1e-6 * global.stddev) {
-      init.comp[c] = stats::SkewNormal::from_moments(mom.mean, mom.stddev,
-                                                     mom.skewness);
-    } else {
-      init.comp[c] = stats::SkewNormal::from_moments(
-          mom.mean, 0.05 * global.stddev, 0.0);
-    }
-  }
-  init.lambda = wsum[1] / (wsum[0] + wsum[1]);
-  return init;
-}
-
-// Same-center width-split initialization: both components at the
-// global mean with different spreads. Location-based k-means cannot
-// separate scale mixtures (the paper's "Kurtosis" scenario, Fig.
-// 3(e)); this start lets EM find them.
-EmInit width_split_init(const stats::Moments& global) {
-  EmInit init;
-  init.lambda = 0.5;
-  init.comp[0] = stats::SkewNormal::from_moments(
-      global.mean, 0.55 * global.stddev, 0.0);
-  init.comp[1] = stats::SkewNormal::from_moments(
-      global.mean, 1.45 * global.stddev, global.skewness);
-  return init;
-}
-
-// Tail-split initialization: bulk vs upper tail. Helps low-weight
-// minority modes riding on a dominant component (the paper's "Minor
-// Saddle" scenario, Fig. 3(d)) where k-means balances cluster sizes
-// too aggressively.
-std::optional<EmInit> tail_split_init(const WeightedData& data,
-                                      const stats::Moments& global,
-                                      double tail_fraction) {
-  // Weighted quantile of the binned data.
-  std::vector<std::size_t> order(data.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return data.x[a] < data.x[b];
-  });
-  const double cut_weight = (1.0 - tail_fraction) * data.total_weight;
-  std::vector<double> bulk_w(data.size(), 0.0), tail_w(data.size(), 0.0);
-  double acc = 0.0;
-  for (std::size_t i : order) {
-    if (acc < cut_weight) {
-      bulk_w[i] = data.w[i];
-    } else {
-      tail_w[i] = data.w[i];
-    }
-    acc += data.w[i];
-  }
-  const auto bulk = stats::compute_weighted_moments(data.x, bulk_w);
-  const auto tail = stats::compute_weighted_moments(data.x, tail_w);
-  if (!(bulk.stddev > 1e-9 * global.stddev) ||
-      !(tail.stddev > 1e-9 * global.stddev)) {
-    return std::nullopt;
-  }
-  EmInit init;
-  init.lambda = tail_fraction;
-  init.comp[0] =
-      stats::SkewNormal::from_moments(bulk.mean, bulk.stddev, bulk.skewness);
-  init.comp[1] =
-      stats::SkewNormal::from_moments(tail.mean, tail.stddev, tail.skewness);
-  return init;
-}
-
-struct EmRun {
-  double lambda = 0.0;
-  stats::SkewNormal comp[2];
-  EmReport report;
-  bool valid = false;
-};
-
-// The EM iteration loop (paper Eq. 6-9) from a given initialization.
-EmRun run_em(const WeightedData& data, const EmInit& init,
-             const FitOptions& options) {
-  const std::size_t n = data.size();
-  EmRun run;
-  run.lambda = init.lambda;
-  run.comp[0] = init.comp[0];
-  run.comp[1] = init.comp[1];
-
-  std::vector<double> resp(n);       // responsibility of component 2
-  std::vector<double> lp1(n), lp2(n), lse(n);  // E-step batch buffers
-  std::vector<double> w1(n), w2(n);  // per-component weights
-  double prev_ll = -std::numeric_limits<double>::infinity();
-  std::size_t ll_decreases = 0;
-  constexpr double kWeightFloor = 1e-6;
-
-  // M-step Nelder-Mead schedule. As EM converges the M-step optimum
-  // barely moves between iterations, so each component's simplex
-  // starts at a step proportional to how far its previous M-step
-  // actually travelled (in the optimizer's (xi, log omega, alpha)
-  // coordinates) instead of the 0.25 cold-start extent. Combined with
-  // the loosened stopping tolerances — the outer EM tolerance is 1e-8
-  // relative, so refining each inner step to 1e-9 absolute is wasted
-  // work — a warm-started refinement converges in a fraction of the
-  // evaluation budget. EM monotonicity is preserved regardless of the
-  // schedule: the start point is a simplex vertex, so the M-step
-  // result is never worse than the previous parameters.
-  stats::NelderMeadOptions mstep;
-  mstep.max_evaluations = options.mstep_evaluations;
-  mstep.x_tolerance = 1e-7;
-  mstep.f_tolerance = 1e-9;
-  double step[2] = {0.25, 0.25};
-  const auto nm_coords = [](const stats::SkewNormal& c) {
-    return std::array<double, 3>{c.xi(), std::log(c.omega()), c.alpha()};
-  };
-  const auto rel_move = [](const std::array<double, 3>& a,
-                           const std::array<double, 3>& b) {
-    double m = 0.0;
-    for (int d = 0; d < 3; ++d) {
-      m = std::max(m, std::fabs(a[d] - b[d]) /
-                          std::max(std::fabs(b[d]), 1e-3));
-    }
-    return m;
-  };
-  for (std::size_t iter = 0; iter < options.em_max_iterations; ++iter) {
-    // Deadline checkpoint (lvf2d): at most one more EM iteration runs
-    // after a request's budget expires.
-    core::checkpoint();
-    run.report.iterations = iter + 1;
-
-    if (robust::fire(robust::Fault::kEmCollapse)) {
-      run.report.collapsed = true;
-      return run;
-    }
-
-    // E-step (Eq. 6): posterior responsibility of each component.
-    // Both component log-densities and the posterior combine run
-    // through the batch kernels; the weighted log-likelihood reduction
-    // stays scalar-sequential so it sums the same terms in the same
-    // order as a per-sample loop.
-    const double l1 = std::log(std::max(1.0 - run.lambda, 1e-300));
-    const double l2 = std::log(std::max(run.lambda, 1e-300));
-    run.comp[0].log_pdf(data.x, lp1);
-    run.comp[1].log_pdf(data.x, lp2);
-    simd::em_responsibilities(l1, l2, lp1, lp2, resp, lse);
-    double ll = 0.0;
-    for (std::size_t i = 0; i < n; ++i) ll += data.w[i] * lse[i];
-    if (robust::fire(robust::Fault::kEmOscillate)) {
-      ll += ((iter % 2 == 0) ? -0.5 : 0.5) * (std::fabs(ll) + 1.0);
-    }
-    run.report.log_likelihood = ll;
-    obs::trace_counter("em.loglik", ll);
-
-    // EM raises the binned likelihood monotonically up to M-step
-    // optimizer noise; a *large* repeated decrease means the surface
-    // has gone numerically pathological (unbounded-likelihood spikes,
-    // oscillation). Bail to the fallback chain instead of looping.
-    if (std::isfinite(prev_ll) &&
-        ll < prev_ll - 0.01 * (std::fabs(prev_ll) + 1.0)) {
-      if (++ll_decreases >= 3) {
-        static obs::Counter& oscillations =
-            obs::counter("robust.em.oscillation_detected");
-        oscillations.add(1);
-        run.report.oscillated = true;
-        run.report.collapsed = true;
-        return run;
-      }
-    }
-    if (!std::isfinite(ll)) {
-      run.report.collapsed = true;
-      return run;
-    }
-
-    // M-step (Eq. 9): lambda closed-form, components by weighted MLE.
-    double sum2 = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      w2[i] = data.w[i] * resp[i];
-      w1[i] = data.w[i] - w2[i];
-      sum2 += w2[i];
-    }
-    run.lambda = sum2 / data.total_weight;
-    if (run.lambda < kWeightFloor || run.lambda > 1.0 - kWeightFloor) {
-      run.report.collapsed = true;
-      return run;
-    }
-    mstep.initial_step = step[0];
-    const auto next1 =
-        stats::SkewNormal::fit_weighted_mle(data.x, w1, &run.comp[0], mstep);
-    mstep.initial_step = step[1];
-    const auto next2 =
-        stats::SkewNormal::fit_weighted_mle(data.x, w2, &run.comp[1], mstep);
-    if (!next1 || !next2) {
-      run.report.collapsed = true;
-      return run;
-    }
-    step[0] = std::clamp(
-        8.0 * rel_move(nm_coords(*next1), nm_coords(run.comp[0])), 0.002,
-        0.25);
-    step[1] = std::clamp(
-        8.0 * rel_move(nm_coords(*next2), nm_coords(run.comp[1])), 0.002,
-        0.25);
-    run.comp[0] = *next1;
-    run.comp[1] = *next2;
-
-    if (std::isfinite(prev_ll) &&
-        std::fabs(ll - prev_ll) <=
-            options.em_tolerance * (std::fabs(prev_ll) + 1.0) &&
-        !robust::fire(robust::Fault::kEmExhaust)) {
-      run.report.converged = true;
-      break;
-    }
-    prev_ll = ll;
-  }
-  run.valid = true;
-  return run;
-}
-
-// Folds one finished fit into the process metrics registry. All
-// instruments are created on the first fit so a metrics dump always
-// carries the full em.* set, zeros included.
-void record_em_metrics(const EmReport& report) {
-  static obs::Counter& fits = obs::counter("em.fits");
-  static obs::Counter& iterations = obs::counter("em.iterations");
-  static obs::Counter& nonconverged = obs::counter("em.nonconverged");
-  static obs::Counter& collapsed = obs::counter("em.collapsed");
-  static obs::Histogram& iter_hist = obs::histogram(
-      "em.iterations.per_fit", {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0});
-  fits.add(1);
-  iterations.add(report.iterations);
-  if (!report.converged) {
-    nonconverged.add(1);
-    // Accepting a non-converged fit is itself a (mild) downgrade; the
-    // counter is created lazily so clean traces stay unchanged.
-    obs::counter("robust.downgrade.em_nonconverged").add(1);
-  }
-  if (report.collapsed) collapsed.add(1);
-  iter_hist.observe(static_cast<double>(report.iterations));
-}
-
-// Tags a report with the rung of the degradation chain it landed on
-// and counts it. Counters are created lazily: a run that never
-// degrades registers no robust.downgrade.* instruments.
-void record_downgrade(EmReport& rep, FitDegradation degradation) {
-  rep.degradation = degradation;
-  obs::counter(std::string("robust.downgrade.") + to_string(degradation))
-      .add(1);
-}
-
-}  // namespace
 
 std::optional<Lvf2Model> Lvf2Model::fit(std::span<const double> samples,
                                         const FitOptions& options,
                                         EmReport* report) {
-  EmReport scratch;
-  EmReport& rep = (report != nullptr) ? *report : scratch;
-  rep = EmReport{};
-
-  // Rung 0 of the degradation chain: validate the sample set. Clean
-  // data — the overwhelmingly common case — passes through without a
-  // copy, so the fit is bit-identical to an unguarded one.
-  std::size_t nonfinite = 0;
-  for (double x : samples) {
-    if (!std::isfinite(x)) ++nonfinite;
-  }
-  std::vector<double> cleaned;
-  std::span<const double> use = samples;
-  if (nonfinite > 0) {
-    cleaned.reserve(samples.size() - nonfinite);
-    for (double x : samples) {
-      if (std::isfinite(x)) cleaned.push_back(x);
-    }
-    obs::counter("robust.samples.nonfinite_dropped").add(nonfinite);
-    use = cleaned;
-  }
-
-  // Winsorize absurd outliers at quantile fences 50 IQRs out: clean
-  // Monte-Carlo data never reaches them (~67 sigma for a normal), a
-  // poisoned spike always does. An unbounded spike would otherwise
-  // wreck the binned-likelihood grid for every honest sample.
-  std::size_t clipped = 0;
-  if (use.size() >= 8) {
-    std::vector<double> sorted(use.begin(), use.end());
-    const std::size_t q1i = sorted.size() / 4;
-    const std::size_t q3i = (3 * sorted.size()) / 4;
-    std::nth_element(sorted.begin(), sorted.begin() + q1i, sorted.end());
-    const double q1 = sorted[q1i];
-    std::nth_element(sorted.begin(), sorted.begin() + q3i, sorted.end());
-    const double q3 = sorted[q3i];
-    const double iqr = q3 - q1;
-    if (iqr > 0.0) {
-      const double fence_lo = q1 - 50.0 * iqr;
-      const double fence_hi = q3 + 50.0 * iqr;
-      bool any_outlier = false;
-      for (double x : use) {
-        if (x < fence_lo || x > fence_hi) {
-          any_outlier = true;
-          break;
-        }
-      }
-      if (any_outlier) {
-        if (cleaned.empty()) cleaned.assign(use.begin(), use.end());
-        for (double& x : cleaned) {
-          if (x < fence_lo) {
-            x = fence_lo;
-            ++clipped;
-          } else if (x > fence_hi) {
-            x = fence_hi;
-            ++clipped;
-          }
-        }
-        obs::counter("robust.samples.outlier_clipped").add(clipped);
-        use = cleaned;
-      }
-    }
-  }
-
-  const stats::Moments global = stats::compute_moments(use);
-  if (global.count >= 8 && global.stddev > 0.0) {
-    auto result = fit_weighted(make_weighted_data(use, options), options,
-                               report);
-    // fit_weighted reset the report; restore sanitization accounting.
-    rep.dropped_samples = nonfinite;
-    rep.clipped_samples = clipped;
-    return result;
-  }
-
-  // Degenerate data: walk the rest of the chain instead of failing.
-  rep.dropped_samples = nonfinite;
-  rep.clipped_samples = clipped;
-  if (global.count == 0) {
-    record_downgrade(rep, FitDegradation::kRejected);
-    return std::nullopt;
-  }
-  if (global.stddev > 0.0) {
-    // Too few samples for EM but a real spread: lambda = 0 single
-    // skew-normal by method of moments (paper Eq. 10 target).
-    record_downgrade(rep, FitDegradation::kSingleSn);
-    return from_lvf(stats::SkewNormal::from_moments(
-        global.mean, global.stddev, global.skewness));
-  }
-  // Constant / near-constant data: moment-matched point mass.
-  record_downgrade(rep, FitDegradation::kMomentNormal);
-  return from_lvf(stats::SkewNormal::from_moments(global.mean, 0.0, 0.0));
+  return as_model<Lvf2Model>(fit_mixture<stats::SkewNormal>(
+      samples, 2, kAllStarts, options, report));
 }
 
 std::optional<Lvf2Model> Lvf2Model::fit_weighted(const WeightedData& data,
                                                  const FitOptions& options,
                                                  EmReport* report) {
-  obs::TraceSpan span("em.fit", [&] {
-    return obs::ArgsBuilder().add("points", data.size()).str();
-  });
-  EmReport scratch;
-  EmReport& rep = (report != nullptr) ? *report : scratch;
-  rep = EmReport{};
-
-  const stats::Moments global =
-      stats::compute_weighted_moments(data.x, data.w);
-  if (data.size() < 8 || !(global.stddev > 0.0)) {
-    // Degenerate weighted data (e.g. a refit of a collapsed propagated
-    // PDF): walk the degradation chain instead of failing outright.
-    if (data.size() == 0 || !std::isfinite(global.mean)) {
-      record_downgrade(rep, FitDegradation::kRejected);
-      return std::nullopt;
-    }
-    if (global.stddev > 0.0 && std::isfinite(global.stddev)) {
-      record_downgrade(rep, FitDegradation::kSingleSn);
-      return from_lvf(stats::SkewNormal::from_moments(
-          global.mean, global.stddev, global.skewness));
-    }
-    record_downgrade(rep, FitDegradation::kMomentNormal);
-    return from_lvf(stats::SkewNormal::from_moments(global.mean, 0.0, 0.0));
-  }
-
-  const auto fallback_sn = stats::SkewNormal::from_moments(
-      global.mean, global.stddev, global.skewness);
-
-  // Multi-start EM: the k-means location split plus the same-center
-  // width split; the best final likelihood wins.
-  std::vector<EmInit> inits;
-  if (auto km = kmeans_init(data, global, options.seed)) {
-    inits.push_back(*km);
-  }
-  inits.push_back(width_split_init(global));
-  if (auto tail = tail_split_init(data, global, 0.15)) {
-    inits.push_back(*tail);
-  }
-  static obs::Counter& em_restarts = obs::counter("em.restarts");
-  em_restarts.add(inits.size());
-
-  // Staged multi-start: a short EM burst per initialization, then the
-  // remaining iteration budget on the best burst only. EM raises the
-  // likelihood monotonically, so the post-burst ranking is a sound
-  // pruning heuristic at ~1/3 the cost of full multi-start.
-  const std::size_t burst_iters =
-      std::min<std::size_t>(8, options.em_max_iterations);
-  FitOptions burst_options = options;
-  burst_options.em_max_iterations = burst_iters;
-  std::optional<EmRun> best;
-  for (const EmInit& init : inits) {
-    EmRun run = run_em(data, init, burst_options);
-    if (!run.valid) continue;
-    if (!best || run.report.log_likelihood > best->report.log_likelihood) {
-      best = std::move(run);
-    }
-  }
-  if (best && !best->report.converged &&
-      options.em_max_iterations > burst_iters) {
-    EmInit continuation;
-    continuation.lambda = best->lambda;
-    continuation.comp[0] = best->comp[0];
-    continuation.comp[1] = best->comp[1];
-    FitOptions rest_options = options;
-    rest_options.em_max_iterations = options.em_max_iterations - burst_iters;
-    EmRun final_run = run_em(data, continuation, rest_options);
-    if (final_run.valid) {
-      final_run.report.iterations += burst_iters;
-      best = std::move(final_run);
-    }
-  }
-
-  if (!best) {
-    rep.collapsed = true;
-    record_downgrade(rep, FitDegradation::kSingleSn);
-    record_em_metrics(rep);
-    return from_lvf(fallback_sn);
-  }
-  rep = best->report;
-
-  // Canonical order: component 1 has the smaller mean, so LVF-style
-  // consumers that read only component 1 see the dominant early mode.
-  if (best->comp[0].mean() > best->comp[1].mean()) {
-    std::swap(best->comp[0], best->comp[1]);
-    best->lambda = 1.0 - best->lambda;
-  }
-  Lvf2Model model(std::clamp(best->lambda, 0.0, 1.0), best->comp[0],
-                  best->comp[1]);
-
-  // Affine moment correction: pin the mixture mean / sigma to the
-  // sample moments. MLE leaves O(eps) first-moment mismatches that
-  // accumulate coherently under SSTA convolution (they would
-  // eventually dominate the CLT-washed shape advantage); moment
-  // pinning is also what production characterization flows do.
-  {
-    const double m_fit = model.mean();
-    const double s_fit = model.stddev();
-    if (s_fit > 0.0 && std::isfinite(m_fit)) {
-      const double b = global.stddev / s_fit;
-      const double a = global.mean - b * m_fit;
-      const auto rescale = [&](const stats::SkewNormal& sn) {
-        return stats::SkewNormal(a + b * sn.xi(), b * sn.omega(),
-                                 sn.alpha());
-      };
-      model = Lvf2Model(model.lambda(), rescale(model.component1()),
-                        rescale(model.component2()));
-    }
-  }
-
-  // Guard against EM landing below the single-SN likelihood (rare,
-  // e.g. truly unimodal Gaussian-like data): keep the better of the
-  // mixture and the plain LVF fit.
-  const Lvf2Model single = from_lvf(fallback_sn);
-  if (single.log_likelihood(data) > model.log_likelihood(data)) {
-    rep.collapsed = true;
-    record_downgrade(rep, FitDegradation::kSingleSn);
-    record_em_metrics(rep);
-    return single;
-  }
-  record_em_metrics(rep);
-  return model;
+  return as_model<Lvf2Model>(
+      fit_mixture<stats::SkewNormal>(data, 2, kAllStarts, options, report));
 }
 
 }  // namespace lvf2::core

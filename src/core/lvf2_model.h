@@ -5,10 +5,9 @@
 //   f_LVF2(x | lambda, theta1, theta2) =
 //       (1 - lambda) f_LVF(x | theta1) + lambda f_LVF(x | theta2)
 //
-// (paper Eq. 4), fitted by EM (Section 3.2): K-means + method of
-// moments initialization, E-step responsibilities (Eq. 6), and an
-// M-step that maximizes the expected complete-data log-likelihood
-// (Eq. 7-9) by weighted skew-normal MLE per component.
+// (paper Eq. 4), fitted by the mixture-EM engine of core/em.h with all
+// three starts: K-means + method of moments (Section 3.2), plus the
+// width and tail splits.
 //
 // Backward compatibility (Section 3.3 / Eq. 10): lambda == 0 makes
 // LVF^2 collapse to the plain LVF skew-normal, and `from_lvf`
@@ -17,7 +16,7 @@
 #include <optional>
 
 #include "core/em.h"
-#include "core/timing_model.h"
+#include "core/mixture.h"
 #include "stats/skew_normal.h"
 
 namespace lvf2::core {
@@ -30,12 +29,11 @@ struct Lvf2Parameters {
   stats::SnMoments theta2;       ///< second skew-normal
 };
 
-/// Two-component skew-normal mixture model.
-class Lvf2Model final : public TimingModel {
+/// Two-component skew-normal mixture model: the named K <= 2
+/// Liberty/paper API.
+class Lvf2Model final : public PairModel<stats::SkewNormal, ModelKind::kLvf2> {
  public:
-  /// Direct construction; `lambda` in [0,1] weights `second`.
-  Lvf2Model(double lambda, const stats::SkewNormal& first,
-            const stats::SkewNormal& second);
+  using PairModel::PairModel;
 
   /// Backward compatibility (Eq. 10): an LVF^2 with lambda = 0 whose
   /// first component is the given LVF skew-normal.
@@ -62,38 +60,11 @@ class Lvf2Model final : public TimingModel {
                                                const FitOptions& options = {},
                                                EmReport* report = nullptr);
 
-  double lambda() const { return lambda_; }
-  const stats::SkewNormal& component1() const { return first_; }
-  const stats::SkewNormal& component2() const { return second_; }
-
   /// Moment-space parameters for Liberty export.
   Lvf2Parameters parameters() const;
 
   /// True when the model is an LVF-compatible single skew-normal.
-  bool is_pure_lvf() const { return lambda_ == 0.0; }
-
-  ModelKind kind() const override { return ModelKind::kLvf2; }
-  double pdf(double x) const override;
-  double log_pdf(double x) const;
-  double cdf(double x) const override;
-  void pdf_batch(std::span<const double> x,
-                 std::span<double> out) const override;
-  void cdf_batch(std::span<const double> x,
-                 std::span<double> out) const override;
-  double quantile(double p) const override;
-  double mean() const override;
-  double stddev() const override;
-  double skewness() const;
-  double sample(stats::Rng& rng) const override;
-
-  /// Weighted log-likelihood of a data set under this model
-  /// (paper Eq. 5 with weights).
-  double log_likelihood(const WeightedData& data) const;
-
- private:
-  double lambda_ = 0.0;
-  stats::SkewNormal first_;
-  stats::SkewNormal second_;
+  bool is_pure_lvf() const { return lambda() == 0.0; }
 };
 
 }  // namespace lvf2::core

@@ -2,23 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
-
-#include "stats/descriptive.h"
-#include "stats/kmeans.h"
-#include "stats/optimize.h"
-#include "stats/special_functions.h"
 
 namespace lvf2::core {
 
-LvfKModel::LvfKModel(std::vector<Component> components)
-    : components_(std::move(components)) {
-  if (components_.empty()) {
+namespace {
+
+std::vector<SnMixture::Component> normalized(
+    std::vector<SnMixture::Component> components) {
+  if (components.empty()) {
     throw std::invalid_argument("LvfKModel: need at least one component");
   }
   double total = 0.0;
-  for (const Component& c : components_) {
+  for (const auto& c : components) {
     if (!(c.weight >= 0.0)) {
       throw std::invalid_argument("LvfKModel: negative component weight");
     }
@@ -27,350 +23,39 @@ LvfKModel::LvfKModel(std::vector<Component> components)
   if (!(total > 0.0)) {
     throw std::invalid_argument("LvfKModel: zero total weight");
   }
-  for (Component& c : components_) c.weight /= total;
-  std::sort(components_.begin(), components_.end(),
-            [](const Component& a, const Component& b) {
-              return a.sn.mean() < b.sn.mean();
-            });
-}
-
-double LvfKModel::pdf(double x) const {
-  double sum = 0.0;
-  for (const Component& c : components_) sum += c.weight * c.sn.pdf(x);
-  return sum;
-}
-
-double LvfKModel::log_pdf(double x) const {
-  double lse = -std::numeric_limits<double>::infinity();
-  for (const Component& c : components_) {
-    if (c.weight <= 0.0) continue;
-    lse = stats::log_sum_exp(lse, std::log(c.weight) + c.sn.log_pdf(x));
-  }
-  return lse;
-}
-
-double LvfKModel::cdf(double x) const {
-  double sum = 0.0;
-  for (const Component& c : components_) sum += c.weight * c.sn.cdf(x);
-  return sum;
-}
-
-void LvfKModel::pdf_batch(std::span<const double> x,
-                          std::span<double> out) const {
-  const std::size_t n = x.size();
-  std::fill(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(n), 0.0);
-  std::vector<double> buf(n);
-  // Accumulate in component order so the sums match pdf() bitwise on
-  // the scalar tier.
-  for (const Component& c : components_) {
-    c.sn.pdf(x, buf);
-    for (std::size_t i = 0; i < n; ++i) out[i] += c.weight * buf[i];
-  }
-}
-
-void LvfKModel::cdf_batch(std::span<const double> x,
-                          std::span<double> out) const {
-  const std::size_t n = x.size();
-  std::fill(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(n), 0.0);
-  std::vector<double> buf(n);
-  for (const Component& c : components_) {
-    c.sn.cdf(x, buf);
-    for (std::size_t i = 0; i < n; ++i) out[i] += c.weight * buf[i];
-  }
-}
-
-double LvfKModel::quantile(double p) const {
-  if (p <= 0.0) return -std::numeric_limits<double>::infinity();
-  if (p >= 1.0) return std::numeric_limits<double>::infinity();
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -lo;
-  for (const Component& c : components_) {
-    lo = std::min(lo, c.sn.quantile(1e-12));
-    hi = std::max(hi, c.sn.quantile(1.0 - 1e-12));
-  }
-  const auto f = [&](double x) { return cdf(x) - p; };
-  return stats::bisect_root(f, lo, hi, 1e-13 * std::max(stddev(), 1e-30)).x;
-}
-
-double LvfKModel::mean() const {
-  double m = 0.0;
-  for (const Component& c : components_) m += c.weight * c.sn.mean();
-  return m;
-}
-
-double LvfKModel::stddev() const {
-  const double mu = mean();
-  double var = 0.0;
-  for (const Component& c : components_) {
-    const double d = c.sn.mean() - mu;
-    var += c.weight * (c.sn.variance() + d * d);
-  }
-  return std::sqrt(var);
-}
-
-double LvfKModel::skewness() const {
-  const double mu = mean();
-  double m2 = 0.0, m3 = 0.0;
-  for (const Component& c : components_) {
-    const double d = c.sn.mean() - mu;
-    const double var = c.sn.variance();
-    const double sk3 = c.sn.skewness() * var * c.sn.stddev();
-    m2 += c.weight * (var + d * d);
-    m3 += c.weight * (sk3 + 3.0 * d * var + d * d * d);
-  }
-  return (m2 > 0.0) ? m3 / (m2 * std::sqrt(m2)) : 0.0;
-}
-
-double LvfKModel::sample(stats::Rng& rng) const {
-  double u = rng.uniform();
-  for (const Component& c : components_) {
-    if (u < c.weight) return c.sn.sample(rng);
-    u -= c.weight;
-  }
-  return components_.back().sn.sample(rng);
-}
-
-double LvfKModel::log_likelihood(const WeightedData& data) const {
-  // Batch each positive-weight component's log-pdf once, then combine
-  // per sample in the same component order as log_pdf().
-  const std::size_t n = data.size();
-  std::vector<std::vector<double>> lp;
-  std::vector<double> lw;
-  for (const Component& c : components_) {
-    if (c.weight <= 0.0) continue;
-    lp.emplace_back(n);
-    c.sn.log_pdf(data.x, lp.back());
-    lw.push_back(std::log(c.weight));
-  }
-  double ll = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    double lse = -std::numeric_limits<double>::infinity();
-    for (std::size_t j = 0; j < lp.size(); ++j) {
-      lse = stats::log_sum_exp(lse, lw[j] + lp[j][i]);
-    }
-    ll += data.w[i] * lse;
-  }
-  return ll;
-}
-
-double LvfKModel::bic(const WeightedData& data) const {
-  const double p =
-      4.0 * static_cast<double>(components_.size()) - 1.0;
-  return -2.0 * log_likelihood(data) +
-         p * std::log(std::max(data.total_weight, 1.0));
-}
-
-namespace {
-
-struct KEmState {
-  std::vector<double> weights;
-  std::vector<stats::SkewNormal> comps;
-  EmReport report;
-  bool valid = false;
-};
-
-// K-means + per-cluster method of moments initialization.
-std::optional<KEmState> kmeans_init_k(const WeightedData& data,
-                                      const stats::Moments& global,
-                                      std::size_t k, std::uint64_t seed) {
-  stats::Rng rng(seed);
-  const stats::KMeansResult km = stats::kmeans_1d(data.x, k, rng, {}, data.w);
-  if (km.centers.size() != k) return std::nullopt;
-  KEmState state;
-  state.weights.resize(k);
-  std::vector<std::vector<double>> cluster_w(k,
-                                             std::vector<double>(data.size()));
-  std::vector<double> wsum(k, 0.0);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    cluster_w[km.assignment[i]][i] = data.w[i];
-    wsum[km.assignment[i]] += data.w[i];
-  }
-  for (std::size_t c = 0; c < k; ++c) {
-    if (wsum[c] <= 0.0) return std::nullopt;
-    const auto mom = stats::compute_weighted_moments(data.x, cluster_w[c]);
-    const double sd = (mom.stddev > 1e-6 * global.stddev)
-                          ? mom.stddev
-                          : 0.05 * global.stddev;
-    state.comps.push_back(
-        stats::SkewNormal::from_moments(mom.mean, sd, mom.skewness));
-    state.weights[c] = wsum[c] / data.total_weight;
-  }
-  return state;
-}
-
-// Generalized EM loop over K components.
-KEmState run_em_k(const WeightedData& data, KEmState state,
-                  const FitOptions& options) {
-  const std::size_t n = data.size();
-  const std::size_t k = state.comps.size();
-  std::vector<std::vector<double>> resp(k, std::vector<double>(n));
-  std::vector<double> comp_w(n);
-  double prev_ll = -std::numeric_limits<double>::infinity();
-  constexpr double kWeightFloor = 1e-6;
-
-  for (std::size_t iter = 0; iter < options.em_max_iterations; ++iter) {
-    state.report.iterations = iter + 1;
-
-    // E-step: component log-densities in K batch passes, then the
-    // K-way log-sum-exp combine kept scalar-sequential per sample (the
-    // reduction order is part of the numeric contract).
-    double ll = 0.0;
-    for (std::size_t c = 0; c < k; ++c) {
-      state.comps[c].log_pdf(data.x, resp[c]);
-    }
-    std::vector<double> lw(k);
-    for (std::size_t c = 0; c < k; ++c) {
-      lw[c] = std::log(std::max(state.weights[c], 1e-300));
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      double lse = -std::numeric_limits<double>::infinity();
-      for (std::size_t c = 0; c < k; ++c) {
-        const double term = lw[c] + resp[c][i];
-        resp[c][i] = term;
-        lse = stats::log_sum_exp(lse, term);
-      }
-      for (std::size_t c = 0; c < k; ++c) {
-        resp[c][i] = std::exp(resp[c][i] - lse);
-      }
-      ll += data.w[i] * lse;
-    }
-    state.report.log_likelihood = ll;
-
-    // M-step: weights closed-form, components by weighted MLE.
-    bool collapsed = false;
-    for (std::size_t c = 0; c < k; ++c) {
-      double sum = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        comp_w[i] = data.w[i] * resp[c][i];
-        sum += comp_w[i];
-      }
-      state.weights[c] = sum / data.total_weight;
-      if (state.weights[c] < kWeightFloor) {
-        collapsed = true;
-        continue;
-      }
-      const auto next = stats::SkewNormal::fit_weighted_mle(
-          data.x, comp_w, &state.comps[c], options.mstep_evaluations);
-      if (next) state.comps[c] = *next;
-    }
-    if (collapsed) {
-      state.report.collapsed = true;
-      break;
-    }
-    if (std::isfinite(prev_ll) &&
-        std::fabs(ll - prev_ll) <=
-            options.em_tolerance * (std::fabs(prev_ll) + 1.0)) {
-      state.report.converged = true;
-      break;
-    }
-    prev_ll = ll;
-  }
-  state.valid = true;
-  return state;
+  for (auto& c : components) c.weight /= total;
+  std::stable_sort(components.begin(), components.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.dist.mean() < b.dist.mean();
+                   });
+  return components;
 }
 
 }  // namespace
+
+LvfKModel::LvfKModel(std::vector<Component> components)
+    : MixtureModel(normalized(std::move(components))) {}
 
 std::optional<LvfKModel> LvfKModel::fit(std::span<const double> samples,
                                         std::size_t k,
                                         const FitOptions& options,
                                         EmReport* report) {
-  const stats::Moments global = stats::compute_moments(samples);
-  if (global.count < 4 * k || !(global.stddev > 0.0)) return std::nullopt;
-  return fit_weighted(make_weighted_data(samples, options), k, options,
-                      report);
+  return as_model<LvfKModel>(fit_mixture<stats::SkewNormal>(
+      samples, k, kAllStarts, options, report));
 }
 
 std::optional<LvfKModel> LvfKModel::fit_weighted(const WeightedData& data,
                                                  std::size_t k,
                                                  const FitOptions& options,
                                                  EmReport* report) {
-  const stats::Moments global =
-      stats::compute_weighted_moments(data.x, data.w);
-  if (k == 0 || data.size() < 4 * k || !(global.stddev > 0.0)) {
-    return std::nullopt;
-  }
+  return as_model<LvfKModel>(
+      fit_mixture<stats::SkewNormal>(data, k, kAllStarts, options, report));
+}
 
-  if (k == 1) {
-    // Degenerate case: the plain LVF moment fit.
-    std::vector<Component> single;
-    single.push_back({1.0, stats::SkewNormal::from_moments(
-                               global.mean, global.stddev,
-                               global.skewness)});
-    if (report != nullptr) {
-      *report = EmReport{1, 0.0, true, false};
-    }
-    return LvfKModel(std::move(single));
-  }
-
-  // Multi-start: k-means location split always; for K = 2 also the
-  // same-center width split (scale mixtures defeat location-based
-  // k-means — see Lvf2Model). Short bursts, best likelihood continues.
-  std::vector<KEmState> starts;
-  if (auto init = kmeans_init_k(data, global, k, options.seed)) {
-    starts.push_back(std::move(*init));
-  }
-  if (k == 2) {
-    KEmState width;
-    width.weights = {0.5, 0.5};
-    width.comps.push_back(stats::SkewNormal::from_moments(
-        global.mean, 0.55 * global.stddev, 0.0));
-    width.comps.push_back(stats::SkewNormal::from_moments(
-        global.mean, 1.45 * global.stddev, global.skewness));
-    starts.push_back(std::move(width));
-  }
-  if (starts.empty()) return std::nullopt;
-
-  FitOptions burst_options = options;
-  burst_options.em_max_iterations =
-      std::min<std::size_t>(8, options.em_max_iterations);
-  std::optional<KEmState> best;
-  for (KEmState& start : starts) {
-    KEmState run = run_em_k(data, std::move(start), burst_options);
-    if (!run.valid) continue;
-    if (!best || run.report.log_likelihood > best->report.log_likelihood) {
-      best = std::move(run);
-    }
-  }
-  if (!best) return std::nullopt;
-  KEmState state = std::move(*best);
-  if (!state.report.converged && !state.report.collapsed &&
-      options.em_max_iterations > burst_options.em_max_iterations) {
-    FitOptions rest = options;
-    rest.em_max_iterations =
-        options.em_max_iterations - burst_options.em_max_iterations;
-    const std::size_t burst_iters = state.report.iterations;
-    state = run_em_k(data, std::move(state), rest);
-    state.report.iterations += burst_iters;
-  }
-  if (report != nullptr) *report = state.report;
-  if (!state.valid) return std::nullopt;
-
-  // Drop collapsed components (effective K may shrink).
-  std::vector<Component> components;
-  for (std::size_t c = 0; c < state.comps.size(); ++c) {
-    if (state.weights[c] >= 1e-6) {
-      components.push_back({state.weights[c], state.comps[c]});
-    }
-  }
-  if (components.empty()) return std::nullopt;
-  LvfKModel model(std::move(components));
-
-  // Affine moment pinning, as in Lvf2Model::fit (DESIGN.md, 8).
-  const double s_fit = model.stddev();
-  if (s_fit > 0.0) {
-    const double b = global.stddev / s_fit;
-    const double a = global.mean - b * model.mean();
-    std::vector<Component> rescaled;
-    rescaled.reserve(model.components().size());
-    for (const Component& c : model.components()) {
-      rescaled.push_back(
-          {c.weight, stats::SkewNormal(a + b * c.sn.xi(), b * c.sn.omega(),
-                                       c.sn.alpha())});
-    }
-    model = LvfKModel(std::move(rescaled));
-  }
-  return model;
+double LvfKModel::bic(const WeightedData& data) const {
+  const double p = 4.0 * static_cast<double>(component_count()) - 1.0;
+  return -2.0 * log_likelihood(data) +
+         p * std::log(std::max(data.total_weight, 1.0));
 }
 
 }  // namespace lvf2::core

@@ -7,36 +7,32 @@
 //
 //   f(x) = sum_k w_k f_SN(x | theta_k),   sum_k w_k = 1,
 //
-// fitted by the same EM machinery (K-means initialization, weighted
-// skew-normal MLE M-step, staged multi-start, moment pinning).
-// K = 1 degenerates to LVF and K = 2 to LVF^2.
+// fitted by the same mixture-EM engine as LVF^2 (core/em.h). K = 1
+// degenerates to LVF and K = 2 to LVF^2 — the same fit, start for
+// start.
 
 #include <optional>
 #include <vector>
 
 #include "core/em.h"
-#include "core/timing_model.h"
+#include "core/mixture.h"
 #include "stats/skew_normal.h"
 
 namespace lvf2::core {
 
 /// K-component skew-normal mixture.
-class LvfKModel final : public TimingModel {
+class LvfKModel final
+    : public MixtureModel<stats::SkewNormal, ModelKind::kLvfK> {
  public:
-  /// One weighted component.
-  struct Component {
-    double weight = 1.0;
-    stats::SkewNormal sn;
-  };
-
   /// Direct construction; weights are normalized to sum to 1 and
   /// components are sorted by ascending mean. Requires >= 1 component
   /// and positive total weight.
   explicit LvfKModel(std::vector<Component> components);
 
-  /// EM fit with `k` components. Returns nullopt for degenerate
-  /// data. Components whose weight collapses during EM are dropped
-  /// (the effective K of the result can be smaller than requested).
+  /// EM fit with `k` components: the k-means start, plus the width
+  /// and tail splits at K = 2. Hostile data walks the degradation
+  /// chain of Lvf2Model::fit; only an empty sample set returns
+  /// nullopt.
   static std::optional<LvfKModel> fit(std::span<const double> samples,
                                       std::size_t k,
                                       const FitOptions& options = {},
@@ -48,32 +44,9 @@ class LvfKModel final : public TimingModel {
                                                const FitOptions& options = {},
                                                EmReport* report = nullptr);
 
-  const std::vector<Component>& components() const { return components_; }
-  std::size_t component_count() const { return components_.size(); }
-
-  /// Weighted log-likelihood of a data set under this model.
-  double log_likelihood(const WeightedData& data) const;
-
   /// Bayesian information criterion for model-order selection:
   /// -2 logL + p ln(n) with p = 4K - 1 free parameters.
   double bic(const WeightedData& data) const;
-
-  ModelKind kind() const override { return ModelKind::kLvfK; }
-  double pdf(double x) const override;
-  double log_pdf(double x) const;
-  double cdf(double x) const override;
-  void pdf_batch(std::span<const double> x,
-                 std::span<double> out) const override;
-  void cdf_batch(std::span<const double> x,
-                 std::span<double> out) const override;
-  double quantile(double p) const override;
-  double mean() const override;
-  double stddev() const override;
-  double skewness() const;
-  double sample(stats::Rng& rng) const override;
-
- private:
-  std::vector<Component> components_;
 };
 
 }  // namespace lvf2::core

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "core/lvfk_model.h"
+
 namespace lvf2::core {
 
 namespace {
@@ -53,9 +55,9 @@ stats::SkewNormal merge_skew_normals(double w1, const stats::SkewNormal& a,
   return from_m3(M3{mean, var, m3});
 }
 
-LvfKModel reduce_mixture(const LvfKModel& model,
+SnMixture reduce_mixture(const SnMixture& model,
                          std::size_t max_components) {
-  std::vector<LvfKModel::Component> comps = model.components();
+  std::vector<SnMixture::Component> comps = model.components();
   if (max_components == 0) max_components = 1;
   while (comps.size() > max_components) {
     // Find the pair with the smallest moment-space distance,
@@ -66,9 +68,9 @@ LvfKModel reduce_mixture(const LvfKModel& model,
     for (std::size_t i = 0; i < comps.size(); ++i) {
       for (std::size_t j = i + 1; j < comps.size(); ++j) {
         const double dmu =
-            (comps[i].sn.mean() - comps[j].sn.mean()) / scale;
+            (comps[i].dist.mean() - comps[j].dist.mean()) / scale;
         const double dsd =
-            (comps[i].sn.stddev() - comps[j].sn.stddev()) / scale;
+            (comps[i].dist.stddev() - comps[j].dist.stddev()) / scale;
         const double w = comps[i].weight * comps[j].weight /
                          (comps[i].weight + comps[j].weight);
         const double cost = w * (dmu * dmu + dsd * dsd);
@@ -79,47 +81,34 @@ LvfKModel reduce_mixture(const LvfKModel& model,
         }
       }
     }
-    LvfKModel::Component merged;
-    merged.weight = comps[bi].weight + comps[bj].weight;
-    merged.sn = merge_skew_normals(comps[bi].weight, comps[bi].sn,
-                                   comps[bj].weight, comps[bj].sn);
+    const SnMixture::Component merged{
+        comps[bi].weight + comps[bj].weight,
+        merge_skew_normals(comps[bi].weight, comps[bi].dist,
+                           comps[bj].weight, comps[bj].dist)};
     comps.erase(comps.begin() + static_cast<std::ptrdiff_t>(bj));
     comps[bi] = merged;
   }
-  return LvfKModel(std::move(comps));
+  return LvfKModel(std::move(comps)).mixture();
 }
 
-LvfKModel convolve_mixtures(const LvfKModel& x, const LvfKModel& y,
+SnMixture convolve_mixtures(const SnMixture& x, const SnMixture& y,
                             std::size_t max_components) {
-  std::vector<LvfKModel::Component> comps;
-  comps.reserve(x.components().size() * y.components().size());
+  std::vector<SnMixture::Component> comps;
+  comps.reserve(x.size() * y.size());
   for (const auto& a : x.components()) {
     for (const auto& b : y.components()) {
-      comps.push_back(
-          {a.weight * b.weight, convolve_skew_normals(a.sn, b.sn)});
+      if (a.weight > 0.0 && b.weight > 0.0) {
+        comps.push_back(
+            {a.weight * b.weight, convolve_skew_normals(a.dist, b.dist)});
+      }
     }
   }
-  return reduce_mixture(LvfKModel(std::move(comps)), max_components);
-}
-
-LvfKModel to_lvfk(const Lvf2Model& model) {
-  std::vector<LvfKModel::Component> comps;
-  if (model.lambda() < 1.0) {
-    comps.push_back({1.0 - model.lambda(), model.component1()});
-  }
-  if (model.lambda() > 0.0) {
-    comps.push_back({model.lambda(), model.component2()});
-  }
-  return LvfKModel(std::move(comps));
+  return reduce_mixture(LvfKModel(std::move(comps)).mixture(),
+                        max_components);
 }
 
 Lvf2Model convolve_lvf2(const Lvf2Model& x, const Lvf2Model& y) {
-  const LvfKModel reduced = convolve_mixtures(to_lvfk(x), to_lvfk(y), 2);
-  const auto& comps = reduced.components();
-  if (comps.size() == 1) {
-    return Lvf2Model::from_lvf(comps[0].sn);
-  }
-  return Lvf2Model(comps[1].weight, comps[0].sn, comps[1].sn);
+  return Lvf2Model(convolve_mixtures(x.mixture(), y.mixture(), 2).components());
 }
 
 }  // namespace lvf2::core

@@ -15,10 +15,12 @@
 //
 // This gives O(K*L) SSTA sum operations with no discretization at
 // all — the trade-off against grid convolution is benchmarked in
-// bench_perf and unit-tested against the grid reference.
+// bench_perf and unit-tested against the grid reference. The
+// operations work on the SnMixture value type, so any mixture model
+// (LVF^2 via mixture(), LVF^k) feeds them directly.
 
 #include "core/lvf2_model.h"
-#include "core/lvfk_model.h"
+#include "core/mixture.h"
 
 namespace lvf2::core {
 
@@ -33,20 +35,19 @@ stats::SkewNormal merge_skew_normals(double w1, const stats::SkewNormal& a,
                                      double w2, const stats::SkewNormal& b);
 
 /// Reduces a mixture to at most `max_components` by greedily merging
-/// the pair with the smallest moment-space distance.
-LvfKModel reduce_mixture(const LvfKModel& model, std::size_t max_components);
+/// the pair with the smallest moment-space distance. Like every
+/// result here it is normalized and ordered by mean (as LvfKModel).
+SnMixture reduce_mixture(const SnMixture& model, std::size_t max_components);
 
 /// Analytic distribution of X + Y for independent mixtures: pairwise
-/// component convolution followed by reduction to `max_components`.
-LvfKModel convolve_mixtures(const LvfKModel& x, const LvfKModel& y,
+/// convolution of the positive-weight components followed by
+/// reduction to `max_components`.
+SnMixture convolve_mixtures(const SnMixture& x, const SnMixture& y,
                             std::size_t max_components = 4);
 
 /// Convenience overload on the paper's two-component models; the
 /// result is reduced back to two components, staying in LVF^2 form
 /// (what an LVF^2-native SSTA engine would carry per node).
 Lvf2Model convolve_lvf2(const Lvf2Model& x, const Lvf2Model& y);
-
-/// Lifts an Lvf2Model into the K-component representation.
-LvfKModel to_lvfk(const Lvf2Model& model);
 
 }  // namespace lvf2::core

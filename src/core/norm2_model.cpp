@@ -1,210 +1,27 @@
 #include "core/norm2_model.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-#include <stdexcept>
-
-#include "simd/simd.h"
-#include "stats/descriptive.h"
-#include "stats/kmeans.h"
-#include "stats/optimize.h"
-#include "stats/special_functions.h"
-
 namespace lvf2::core {
 
-Norm2Model::Norm2Model(double lambda, const stats::Normal& first,
-                       const stats::Normal& second)
-    : lambda_(lambda), first_(first), second_(second) {
-  if (!(lambda >= 0.0 && lambda <= 1.0)) {
-    throw std::invalid_argument("Norm2Model: lambda must be in [0,1]");
-  }
-}
+namespace {
 
-double Norm2Model::pdf(double x) const {
-  return (1.0 - lambda_) * first_.pdf(x) + lambda_ * second_.pdf(x);
-}
+// The ref-[10] baseline initializes from k-means only; the split
+// starts are LVF^2's (DESIGN.md decision 23).
+constexpr EmStart kStarts[] = {EmStart::kKMeans};
 
-double Norm2Model::cdf(double x) const {
-  return (1.0 - lambda_) * first_.cdf(x) + lambda_ * second_.cdf(x);
-}
-
-void Norm2Model::pdf_batch(std::span<const double> x,
-                           std::span<double> out) const {
-  std::vector<double> buf(x.size());
-  first_.pdf(x, out);
-  second_.pdf(x, buf);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    out[i] = (1.0 - lambda_) * out[i] + lambda_ * buf[i];
-  }
-}
-
-void Norm2Model::cdf_batch(std::span<const double> x,
-                           std::span<double> out) const {
-  std::vector<double> buf(x.size());
-  first_.cdf(x, out);
-  second_.cdf(x, buf);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    out[i] = (1.0 - lambda_) * out[i] + lambda_ * buf[i];
-  }
-}
-
-double Norm2Model::quantile(double p) const {
-  if (p <= 0.0) return -std::numeric_limits<double>::infinity();
-  if (p >= 1.0) return std::numeric_limits<double>::infinity();
-  const double lo = std::min(first_.quantile(1e-12), second_.quantile(1e-12));
-  const double hi = std::max(first_.quantile(1.0 - 1e-12),
-                             second_.quantile(1.0 - 1e-12));
-  const auto f = [&](double x) { return cdf(x) - p; };
-  return stats::bisect_root(f, lo, hi, 1e-13 * std::max(stddev(), 1e-30)).x;
-}
-
-double Norm2Model::mean() const {
-  return (1.0 - lambda_) * first_.mean() + lambda_ * second_.mean();
-}
-
-double Norm2Model::stddev() const {
-  const double mu = mean();
-  const double d1 = first_.mean() - mu;
-  const double d2 = second_.mean() - mu;
-  const double var = (1.0 - lambda_) * (first_.variance() + d1 * d1) +
-                     lambda_ * (second_.variance() + d2 * d2);
-  return std::sqrt(var);
-}
-
-double Norm2Model::sample(stats::Rng& rng) const {
-  return (rng.uniform() < lambda_) ? second_.sample(rng) : first_.sample(rng);
-}
+}  // namespace
 
 std::optional<Norm2Model> Norm2Model::fit(std::span<const double> samples,
                                           const FitOptions& options,
                                           EmReport* report) {
-  const stats::Moments global = stats::compute_moments(samples);
-  if (global.count < 4 || !(global.stddev > 0.0)) return std::nullopt;
-  return fit_weighted(make_weighted_data(samples, options), options, report);
+  return as_model<Norm2Model>(
+      fit_mixture<stats::Normal>(samples, 2, kStarts, options, report));
 }
 
 std::optional<Norm2Model> Norm2Model::fit_weighted(const WeightedData& data,
                                                    const FitOptions& options,
                                                    EmReport* report) {
-  const stats::Moments global =
-      stats::compute_weighted_moments(data.x, data.w);
-  const std::size_t n = data.size();
-  if (n < 4 || !(global.stddev > 0.0)) return std::nullopt;
-
-  // --- Initialization: k-means (k = 2) + per-cluster moments. ---
-  stats::Rng rng(options.seed);
-  const stats::KMeansResult km =
-      stats::kmeans_1d(data.x, 2, rng, {}, data.w);
-  double mu[2] = {global.mean - 0.5 * global.stddev,
-                  global.mean + 0.5 * global.stddev};
-  double sigma[2] = {global.stddev, global.stddev};
-  double lambda = 0.5;
-  if (km.centers.size() == 2) {
-    double wsum[2] = {0.0, 0.0};
-    double xsum[2] = {0.0, 0.0};
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t c = km.assignment[i];
-      wsum[c] += data.w[i];
-      xsum[c] += data.w[i] * data.x[i];
-    }
-    if (wsum[0] > 0.0 && wsum[1] > 0.0) {
-      double ssum[2] = {0.0, 0.0};
-      mu[0] = xsum[0] / wsum[0];
-      mu[1] = xsum[1] / wsum[1];
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t c = km.assignment[i];
-        const double d = data.x[i] - mu[c];
-        ssum[c] += data.w[i] * d * d;
-      }
-      const double sigma_floor = 1e-4 * global.stddev;
-      sigma[0] = std::max(std::sqrt(ssum[0] / wsum[0]), sigma_floor);
-      sigma[1] = std::max(std::sqrt(ssum[1] / wsum[1]), sigma_floor);
-      lambda = wsum[1] / (wsum[0] + wsum[1]);
-    }
-  }
-
-  // --- EM iterations (closed-form M-step). ---
-  const double sigma_floor = 1e-5 * global.stddev;
-  std::vector<double> resp(n);  // responsibility of component 2
-  std::vector<double> lp1(n), lp2(n), lse(n);  // E-step batch buffers
-  double prev_ll = -std::numeric_limits<double>::infinity();
-  EmReport rep;
-  for (std::size_t iter = 0; iter < options.em_max_iterations; ++iter) {
-    rep.iterations = iter + 1;
-    // E-step (paper Eq. 6, adapted to Gaussian components), through
-    // the batch kernels; the weighted reduction stays sequential.
-    const double l1 = std::log(std::max(1.0 - lambda, 1e-300));
-    const double l2 = std::log(std::max(lambda, 1e-300));
-    simd::normal_mu_sigma_log_pdf(mu[0], sigma[0], data.x, lp1);
-    simd::normal_mu_sigma_log_pdf(mu[1], sigma[1], data.x, lp2);
-    simd::em_responsibilities(l1, l2, lp1, lp2, resp, lse);
-    double ll = 0.0;
-    for (std::size_t i = 0; i < n; ++i) ll += data.w[i] * lse[i];
-    rep.log_likelihood = ll;
-    // M-step: weighted means / variances.
-    double w2 = 0.0, m1 = 0.0, m2 = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double wr = data.w[i] * resp[i];
-      w2 += wr;
-      m2 += wr * data.x[i];
-      m1 += (data.w[i] - wr) * data.x[i];
-    }
-    const double w1 = data.total_weight - w2;
-    if (w1 <= 1e-9 * data.total_weight || w2 <= 1e-9 * data.total_weight) {
-      rep.collapsed = true;
-      break;
-    }
-    mu[0] = m1 / w1;
-    mu[1] = m2 / w2;
-    double s1 = 0.0, s2 = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double wr = data.w[i] * resp[i];
-      const double d1 = data.x[i] - mu[0];
-      const double d2 = data.x[i] - mu[1];
-      s1 += (data.w[i] - wr) * d1 * d1;
-      s2 += wr * d2 * d2;
-    }
-    sigma[0] = std::max(std::sqrt(s1 / w1), sigma_floor);
-    sigma[1] = std::max(std::sqrt(s2 / w2), sigma_floor);
-    lambda = w2 / data.total_weight;
-
-    if (std::isfinite(prev_ll) &&
-        std::fabs(ll - prev_ll) <=
-            options.em_tolerance * (std::fabs(prev_ll) + 1.0)) {
-      rep.converged = true;
-      break;
-    }
-    prev_ll = ll;
-  }
-
-  // Canonical order: component 1 has the smaller mean.
-  if (mu[0] > mu[1]) {
-    std::swap(mu[0], mu[1]);
-    std::swap(sigma[0], sigma[1]);
-    lambda = 1.0 - lambda;
-  }
-  if (report != nullptr) *report = rep;
-  if (rep.collapsed) {
-    // Fall back to a single Gaussian (lambda = 0).
-    return Norm2Model(0.0, stats::Normal(global.mean, global.stddev),
-                      stats::Normal(global.mean, global.stddev));
-  }
-  Norm2Model model(lambda, stats::Normal(mu[0], sigma[0]),
-                   stats::Normal(mu[1], sigma[1]));
-  // Affine moment correction: pin the mixture mean / sigma to the
-  // raw sample moments (the binned-likelihood fit matches the binned
-  // moments; SSTA convolution accumulates any residual bias).
-  const double s_fit = model.stddev();
-  if (s_fit > 0.0) {
-    const double b = global.stddev / s_fit;
-    const double a = global.mean - b * model.mean();
-    model = Norm2Model(
-        model.lambda(),
-        stats::Normal(a + b * mu[0], b * sigma[0]),
-        stats::Normal(a + b * mu[1], b * sigma[1]));
-  }
-  return model;
+  return as_model<Norm2Model>(
+      fit_mixture<stats::Normal>(data, 2, kStarts, options, report));
 }
 
 }  // namespace lvf2::core

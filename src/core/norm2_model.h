@@ -2,26 +2,26 @@
 // Norm^2 baseline (paper ref. [10], Takahashi et al. DAC'09): a
 // two-component Gaussian mixture
 //   f(x) = (1 - lambda) N(x | mu1, sigma1) + lambda N(x | mu2, sigma2)
-// fitted with classic closed-form EM. Unlike LVF^2 it ignores the
-// skewness of the components.
+// fitted by the mixture-EM engine of core/em.h with the closed-form
+// Normal M-step and only the k-means start of the reference method.
+// Unlike LVF^2 it ignores the skewness of the components.
 
 #include <optional>
 
 #include "core/em.h"
-#include "core/timing_model.h"
+#include "core/mixture.h"
 #include "stats/normal.h"
 
 namespace lvf2::core {
 
 /// Two-component Gaussian mixture model.
-class Norm2Model final : public TimingModel {
+class Norm2Model final : public PairModel<stats::Normal, ModelKind::kNorm2> {
  public:
-  /// Direct construction; `lambda` in [0,1] weights `second`.
-  Norm2Model(double lambda, const stats::Normal& first,
-             const stats::Normal& second);
+  using PairModel::PairModel;
 
-  /// EM fit (k-means init, closed-form M-step). Returns nullopt for
-  /// degenerate data. `report`, when non-null, receives diagnostics.
+  /// EM fit (k-means start, closed-form M-step) behind the same
+  /// degradation chain as Lvf2Model::fit; only an empty sample set
+  /// returns nullopt. `report`, when non-null, receives diagnostics.
   static std::optional<Norm2Model> fit(std::span<const double> samples,
                                        const FitOptions& options = {},
                                        EmReport* report = nullptr);
@@ -31,27 +31,6 @@ class Norm2Model final : public TimingModel {
   static std::optional<Norm2Model> fit_weighted(const WeightedData& data,
                                                 const FitOptions& options = {},
                                                 EmReport* report = nullptr);
-
-  double lambda() const { return lambda_; }
-  const stats::Normal& component1() const { return first_; }
-  const stats::Normal& component2() const { return second_; }
-
-  ModelKind kind() const override { return ModelKind::kNorm2; }
-  double pdf(double x) const override;
-  double cdf(double x) const override;
-  void pdf_batch(std::span<const double> x,
-                 std::span<double> out) const override;
-  void cdf_batch(std::span<const double> x,
-                 std::span<double> out) const override;
-  double quantile(double p) const override;
-  double mean() const override;
-  double stddev() const override;
-  double sample(stats::Rng& rng) const override;
-
- private:
-  double lambda_ = 0.0;
-  stats::Normal first_;
-  stats::Normal second_;
 };
 
 }  // namespace lvf2::core

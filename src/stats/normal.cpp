@@ -1,5 +1,6 @@
 #include "stats/normal.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <stdexcept>
@@ -13,6 +14,13 @@ Normal::Normal(double mu, double sigma) : mu_(mu), sigma_(sigma) {
   if (!(sigma > 0.0)) {
     throw std::invalid_argument("Normal: sigma must be positive");
   }
+}
+
+Normal Normal::from_moments(double mean, double stddev, double) {
+  if (!(stddev > 0.0) || !std::isfinite(stddev)) {
+    stddev = std::max(std::fabs(mean) * 1e-9, 1e-12);
+  }
+  return Normal(mean, stddev);
 }
 
 double Normal::pdf(double x) const {

@@ -13,6 +13,15 @@ class Normal {
   Normal() = default;
   Normal(double mu, double sigma);
 
+  /// Moment construction mirroring SkewNormal::from_moments (skewness
+  /// is ignored): a degenerate spread becomes a point mass at `mean`.
+  static Normal from_moments(double mean, double stddev, double skewness);
+
+  /// Distribution of a + b X for b > 0.
+  Normal affine(double a, double b) const {
+    return Normal(a + b * mu_, b * sigma_);
+  }
+
   double mu() const { return mu_; }
   double sigma() const { return sigma_; }
 
@@ -31,6 +40,7 @@ class Normal {
   double mean() const { return mu_; }
   double stddev() const { return sigma_; }
   double variance() const { return sigma_ * sigma_; }
+  double skewness() const { return 0.0; }
 
  private:
   double mu_ = 0.0;

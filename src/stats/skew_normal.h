@@ -50,6 +50,11 @@ class SkewNormal {
   /// Inverse bijection g^-1: Theta -> theta.
   SnMoments to_moments() const;
 
+  /// Distribution of a + b X for b > 0.
+  SkewNormal affine(double a, double b) const {
+    return SkewNormal(a + b * xi_, b * omega_, alpha_);
+  }
+
   double xi() const { return xi_; }
   double omega() const { return omega_; }
   double alpha() const { return alpha_; }

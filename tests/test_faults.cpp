@@ -1,6 +1,7 @@
 // Fault-matrix stress test of the deterministic fault-injection
 // harness (src/robust/): every fault mode is armed in turn and driven
-// through all five pipeline stages — EM fitting, characterization,
+// through all five pipeline stages — EM fitting (LVF^2, Norm^2 and
+// LVF^k on the one engine), characterization,
 // Liberty parsing, block-based SSTA, and the serving/cache I/O
 // layer (frame round trips + shard reloads). Under every fault the
 // pipeline must (a) never crash, (b) never leak a non-finite value
@@ -21,6 +22,8 @@
 #include "cache/cache.h"
 #include "cells/characterize.h"
 #include "core/lvf2_model.h"
+#include "core/lvfk_model.h"
+#include "core/norm2_model.h"
 #include "liberty/lvf_tables.h"
 #include "liberty/parser.h"
 #include "obs/json.h"
@@ -42,7 +45,7 @@ void expect_finite(double v, const char* what) {
 }
 
 // A surviving model must answer every statistical query finitely.
-void expect_model_sane(const core::Lvf2Model& model) {
+void expect_model_sane(const core::TimingModel& model) {
   expect_finite(model.mean(), "model mean");
   expect_finite(model.stddev(), "model stddev");
   EXPECT_GE(model.stddev(), 0.0);
@@ -70,8 +73,11 @@ void expect_pdf_sane(const stats::GridPdf& pdf) {
   EXPECT_TRUE(std::isfinite(c) && c >= 0.0 && c <= 1.0) << "pdf cdf = " << c;
 }
 
-// Stage 1: sample corruption + the Lvf2Model::fit degradation chain.
-void run_em_stage() {
+// Stage 1: sample corruption + the fit degradation chain, for every
+// mixture family on the shared EM engine.
+template <class Fit>
+void run_em_fit(const char* family, Fit fit) {
+  SCOPED_TRACE(family);
   stats::Rng rng(test::test_seed(0x5eed));
   std::vector<double> xs;
   xs.reserve(900);
@@ -82,7 +88,7 @@ void run_em_stage() {
   core::FitOptions options;
   options.seed = 42;
   core::EmReport report;
-  const auto model = core::Lvf2Model::fit(xs, options, &report);
+  const auto model = fit(xs, options, &report);
   if (xs.empty()) {
     // Only a fully emptied sample set may reject the fit.
     EXPECT_FALSE(model.has_value());
@@ -90,9 +96,27 @@ void run_em_stage() {
     return;
   }
   ASSERT_TRUE(model.has_value());
+  EXPECT_NE(report.degradation, core::FitDegradation::kRejected);
   expect_model_sane(*model);
-  expect_finite(model->parameters().theta1.mean, "theta1 mean");
-  expect_finite(model->parameters().theta2.stddev, "theta2 stddev");
+  for (const auto& c : model->components()) {
+    expect_finite(c.weight, "component weight");
+    expect_finite(c.dist.mean(), "component mean");
+    expect_finite(c.dist.stddev(), "component stddev");
+  }
+}
+
+void run_em_stage() {
+  using Samples = const std::vector<double>&;
+  using Options = const core::FitOptions&;
+  run_em_fit("LVF2", [](Samples xs, Options o, core::EmReport* r) {
+    return core::Lvf2Model::fit(xs, o, r);
+  });
+  run_em_fit("Norm2", [](Samples xs, Options o, core::EmReport* r) {
+    return core::Norm2Model::fit(xs, o, r);
+  });
+  run_em_fit("LVFk K=3", [](Samples xs, Options o, core::EmReport* r) {
+    return core::LvfKModel::fit(xs, 3, o, r);
+  });
 }
 
 // Stage 2: the characterization loop (per-entry degradation, sample

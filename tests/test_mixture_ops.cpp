@@ -90,17 +90,16 @@ TEST(MergeSkewNormals, InfeasibleSkewnessClampsAtBound) {
 }
 
 TEST(ReduceMixture, MergesNearestPairFirst) {
-  std::vector<LvfKModel::Component> comps;
-  comps.push_back({0.4, stats::SkewNormal::from_moments(1.00, 0.05, 0.0)});
-  comps.push_back({0.4, stats::SkewNormal::from_moments(1.02, 0.05, 0.0)});
-  comps.push_back({0.2, stats::SkewNormal::from_moments(2.00, 0.05, 0.0)});
-  const LvfKModel model(std::move(comps));
-  const LvfKModel reduced = reduce_mixture(model, 2);
-  ASSERT_EQ(reduced.component_count(), 2u);
+  const SnMixture model(
+      {{0.4, stats::SkewNormal::from_moments(1.00, 0.05, 0.0)},
+       {0.4, stats::SkewNormal::from_moments(1.02, 0.05, 0.0)},
+       {0.2, stats::SkewNormal::from_moments(2.00, 0.05, 0.0)}});
+  const SnMixture reduced = reduce_mixture(model, 2);
+  ASSERT_EQ(reduced.size(), 2u);
   // The two near-identical components merged; the distant one stays.
-  EXPECT_NEAR(reduced.components()[0].sn.mean(), 1.01, 0.01);
+  EXPECT_NEAR(reduced.components()[0].dist.mean(), 1.01, 0.01);
   EXPECT_NEAR(reduced.components()[0].weight, 0.8, 1e-9);
-  EXPECT_NEAR(reduced.components()[1].sn.mean(), 2.0, 1e-9);
+  EXPECT_NEAR(reduced.components()[1].dist.mean(), 2.0, 1e-9);
   // Global moments preserved.
   EXPECT_NEAR(reduced.mean(), model.mean(), 1e-9);
   EXPECT_NEAR(reduced.stddev(), model.stddev(), 1e-6);
@@ -111,7 +110,7 @@ TEST(ConvolveMixtures, AgainstMonteCarlo) {
                     stats::SkewNormal::from_moments(1.2, 0.06, 0.0));
   const Lvf2Model y(0.5, stats::SkewNormal::from_moments(0.5, 0.04, -0.2),
                     stats::SkewNormal::from_moments(0.65, 0.05, 0.4));
-  const LvfKModel sum = convolve_mixtures(to_lvfk(x), to_lvfk(y), 4);
+  const SnMixture sum = convolve_mixtures(x.mixture(), y.mixture(), 4);
 
   stats::Rng rng(test::test_seed(11));
   std::vector<double> mc(200000);
@@ -154,12 +153,15 @@ TEST(ConvolveLvf2, ChainKeepsCltBehaviour) {
   EXPECT_LT(std::fabs(total.skewness()), 0.15);
 }
 
-TEST(ToLvfk, RoundTripOfPureLvf) {
+// A pure LVF carries a zero-weight second component; the analytic sum
+// skips it, so the sum of two pure LVFs stays one component.
+TEST(ConvolveMixtures, SkipsZeroWeightComponents) {
   const Lvf2Model pure = Lvf2Model::from_lvf(
       stats::SkewNormal::from_moments(1.0, 0.1, 0.5));
-  const LvfKModel k = to_lvfk(pure);
-  EXPECT_EQ(k.component_count(), 1u);
-  EXPECT_NEAR(k.mean(), pure.mean(), 1e-12);
+  const SnMixture sum = convolve_mixtures(pure.mixture(), pure.mixture(), 4);
+  ASSERT_EQ(sum.size(), 1u);
+  EXPECT_NEAR(sum.mean(), 2.0 * pure.mean(), 1e-12);
+  EXPECT_NEAR(sum.stddev(), std::sqrt(2.0) * pure.stddev(), 1e-12);
 }
 
 }  // namespace
