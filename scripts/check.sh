@@ -508,9 +508,9 @@ p99 = dl["queue_p99_ms"] + dl["exec_p99_ms"]
 assert p99 <= budget, \
     f"deadline p99 queue+exec {p99:.1f} ms exceeds the {budget:.0f} ms budget"
 
-# The mid-soak Prometheus scrape: every sample's family is declared
-# with # TYPE before use, values parse, and the cumulative per-op
-# counts can only have grown by drain time.
+# The mid-soak Prometheus scrape: every family is declared with
+# # TYPE exactly once and before use, values parse, and the
+# cumulative per-op counts can only have grown by drain time.
 declared = set()
 samples = {}
 for line in open(os.path.join(d, "metrics.prom")):
@@ -518,7 +518,9 @@ for line in open(os.path.join(d, "metrics.prom")):
     if not line:
         continue
     if line.startswith("# TYPE "):
-        declared.add(line.split()[2])
+        family = line.split()[2]
+        assert family not in declared, f"family {family} declared twice"
+        declared.add(family)
         continue
     if line.startswith("#"):
         continue

@@ -10,6 +10,10 @@ namespace lvf2::cells {
 
 namespace {
 
+using obs::json_bool;
+using obs::json_number;
+using obs::json_object;
+using obs::json_string;
 using obs::JsonValue;
 
 // --- key hashing ---------------------------------------------------
@@ -58,67 +62,40 @@ void feed_fit(cache::KeyHasher& h, const core::FitOptions& f) {
 
 // --- JSON building helpers -----------------------------------------
 
-JsonValue jnum(double v) {
-  JsonValue j;
-  j.type = JsonValue::Type::kNumber;
-  j.number = v;
-  return j;
-}
-
-JsonValue jstr(std::string s) {
-  JsonValue j;
-  j.type = JsonValue::Type::kString;
-  j.string = std::move(s);
-  return j;
-}
-
-JsonValue jbool(bool b) {
-  JsonValue j;
-  j.type = JsonValue::Type::kBool;
-  j.boolean = b;
-  return j;
-}
-
-JsonValue jobj() {
-  JsonValue j;
-  j.type = JsonValue::Type::kObject;
-  return j;
-}
-
 // 64-bit integers (seeds) are stored as decimal strings: a JSON
 // number is a double here and loses bits above 2^53.
-JsonValue ju64(std::uint64_t v) { return jstr(std::to_string(v)); }
+JsonValue ju64(std::uint64_t v) { return json_string(std::to_string(v)); }
 
 JsonValue moments_to_json(const stats::SnMoments& m) {
-  JsonValue j = jobj();
-  j.object.emplace_back("mean", jnum(m.mean));
-  j.object.emplace_back("stddev", jnum(m.stddev));
-  j.object.emplace_back("skewness", jnum(m.skewness));
+  JsonValue j = json_object();
+  j.object.emplace_back("mean", json_number(m.mean));
+  j.object.emplace_back("stddev", json_number(m.stddev));
+  j.object.emplace_back("skewness", json_number(m.skewness));
   return j;
 }
 
 JsonValue lvf2_params_to_json(const core::Lvf2Parameters& p) {
-  JsonValue j = jobj();
-  j.object.emplace_back("lambda", jnum(p.lambda));
+  JsonValue j = json_object();
+  j.object.emplace_back("lambda", json_number(p.lambda));
   j.object.emplace_back("theta1", moments_to_json(p.theta1));
   j.object.emplace_back("theta2", moments_to_json(p.theta2));
   return j;
 }
 
 JsonValue em_report_to_json(const core::EmReport& r) {
-  JsonValue j = jobj();
+  JsonValue j = json_object();
   j.object.emplace_back("iterations",
-                        jnum(static_cast<double>(r.iterations)));
-  j.object.emplace_back("log_likelihood", jnum(r.log_likelihood));
-  j.object.emplace_back("converged", jbool(r.converged));
-  j.object.emplace_back("collapsed", jbool(r.collapsed));
-  j.object.emplace_back("oscillated", jbool(r.oscillated));
+                        json_number(static_cast<double>(r.iterations)));
+  j.object.emplace_back("log_likelihood", json_number(r.log_likelihood));
+  j.object.emplace_back("converged", json_bool(r.converged));
+  j.object.emplace_back("collapsed", json_bool(r.collapsed));
+  j.object.emplace_back("oscillated", json_bool(r.oscillated));
   j.object.emplace_back("dropped_samples",
-                        jnum(static_cast<double>(r.dropped_samples)));
+                        json_number(static_cast<double>(r.dropped_samples)));
   j.object.emplace_back("clipped_samples",
-                        jnum(static_cast<double>(r.clipped_samples)));
+                        json_number(static_cast<double>(r.clipped_samples)));
   j.object.emplace_back("degradation",
-                        jnum(static_cast<double>(r.degradation)));
+                        json_number(static_cast<double>(r.degradation)));
   return j;
 }
 
@@ -289,67 +266,68 @@ obs::JsonValue encode_cached_entry(const spice::ProcessCorner& corner,
     }
   }
 
-  JsonValue inputs = jobj();
-  inputs.object.emplace_back("cell", jstr(cell.name));
+  JsonValue inputs = json_object();
+  inputs.object.emplace_back("cell", json_string(cell.name));
   inputs.object.emplace_back("family",
-                             jnum(static_cast<double>(
+                             json_number(static_cast<double>(
                                  static_cast<int>(cell.family))));
   inputs.object.emplace_back("inputs",
-                             jnum(static_cast<double>(cell.inputs)));
-  inputs.object.emplace_back("drive", jnum(cell.drive));
+                             json_number(static_cast<double>(cell.inputs)));
+  inputs.object.emplace_back("drive", json_number(cell.drive));
   inputs.object.emplace_back("arc_index",
-                             jnum(static_cast<double>(arc_index)));
-  inputs.object.emplace_back("arc_label", jstr(arc_label));
+                             json_number(static_cast<double>(arc_index)));
+  inputs.object.emplace_back("arc_label", json_string(arc_label));
   inputs.object.emplace_back("load_idx",
-                             jnum(static_cast<double>(load_idx)));
+                             json_number(static_cast<double>(load_idx)));
   inputs.object.emplace_back("slew_idx",
-                             jnum(static_cast<double>(slew_idx)));
+                             json_number(static_cast<double>(slew_idx)));
   inputs.object.emplace_back("slew_ns",
-                             jnum(options.grid.slews_ns.at(slew_idx)));
+                             json_number(options.grid.slews_ns.at(slew_idx)));
   inputs.object.emplace_back("load_pf",
-                             jnum(options.grid.loads_pf.at(load_idx)));
-  inputs.object.emplace_back("mc_samples",
-                             jnum(static_cast<double>(options.mc_samples)));
-  inputs.object.emplace_back("use_lhs", jbool(options.use_lhs));
+                             json_number(options.grid.loads_pf.at(load_idx)));
+  inputs.object.emplace_back(
+      "mc_samples", json_number(static_cast<double>(options.mc_samples)));
+  inputs.object.emplace_back("use_lhs", json_bool(options.use_lhs));
   inputs.object.emplace_back("seed_base", ju64(options.seed_base));
 
-  JsonValue fit = jobj();
+  JsonValue fit = json_object();
   fit.object.emplace_back(
       "likelihood_bins",
-      jnum(static_cast<double>(options.fit.likelihood_bins)));
+      json_number(static_cast<double>(options.fit.likelihood_bins)));
   fit.object.emplace_back(
       "em_max_iterations",
-      jnum(static_cast<double>(options.fit.em_max_iterations)));
-  fit.object.emplace_back("em_tolerance", jnum(options.fit.em_tolerance));
+      json_number(static_cast<double>(options.fit.em_max_iterations)));
+  fit.object.emplace_back("em_tolerance",
+                          json_number(options.fit.em_tolerance));
   fit.object.emplace_back(
       "mstep_evaluations",
-      jnum(static_cast<double>(options.fit.mstep_evaluations)));
+      json_number(static_cast<double>(options.fit.mstep_evaluations)));
   fit.object.emplace_back("seed", ju64(options.fit.seed));
   inputs.object.emplace_back("fit", std::move(fit));
 
-  JsonValue cj = jobj();
-  cj.object.emplace_back("vdd", jnum(corner.vdd));
-  cj.object.emplace_back("temp_c", jnum(corner.temp_c));
-  cj.object.emplace_back("vth_n", jnum(corner.vth_n));
-  cj.object.emplace_back("vth_p", jnum(corner.vth_p));
-  cj.object.emplace_back("alpha", jnum(corner.alpha));
-  cj.object.emplace_back("kn", jnum(corner.kn));
-  cj.object.emplace_back("kp", jnum(corner.kp));
-  cj.object.emplace_back("sigma_vth_n", jnum(corner.sigma_vth_n));
-  cj.object.emplace_back("sigma_vth_p", jnum(corner.sigma_vth_p));
-  cj.object.emplace_back("sigma_len", jnum(corner.sigma_len));
-  cj.object.emplace_back("sigma_mob", jnum(corner.sigma_mob));
-  cj.object.emplace_back("sigma_tox", jnum(corner.sigma_tox));
-  cj.object.emplace_back("sigma_wid", jnum(corner.sigma_wid));
+  JsonValue cj = json_object();
+  cj.object.emplace_back("vdd", json_number(corner.vdd));
+  cj.object.emplace_back("temp_c", json_number(corner.temp_c));
+  cj.object.emplace_back("vth_n", json_number(corner.vth_n));
+  cj.object.emplace_back("vth_p", json_number(corner.vth_p));
+  cj.object.emplace_back("alpha", json_number(corner.alpha));
+  cj.object.emplace_back("kn", json_number(corner.kn));
+  cj.object.emplace_back("kp", json_number(corner.kp));
+  cj.object.emplace_back("sigma_vth_n", json_number(corner.sigma_vth_n));
+  cj.object.emplace_back("sigma_vth_p", json_number(corner.sigma_vth_p));
+  cj.object.emplace_back("sigma_len", json_number(corner.sigma_len));
+  cj.object.emplace_back("sigma_mob", json_number(corner.sigma_mob));
+  cj.object.emplace_back("sigma_tox", json_number(corner.sigma_tox));
+  cj.object.emplace_back("sigma_wid", json_number(corner.sigma_wid));
   inputs.object.emplace_back("corner", std::move(cj));
 
-  JsonValue result = jobj();
-  result.object.emplace_back("slew_ns", jnum(entry.condition.slew_ns));
-  result.object.emplace_back("load_pf", jnum(entry.condition.load_pf));
+  JsonValue result = json_object();
+  result.object.emplace_back("slew_ns", json_number(entry.condition.slew_ns));
+  result.object.emplace_back("load_pf", json_number(entry.condition.load_pf));
   result.object.emplace_back("nominal_delay_ns",
-                             jnum(entry.nominal_delay_ns));
+                             json_number(entry.nominal_delay_ns));
   result.object.emplace_back("nominal_transition_ns",
-                             jnum(entry.nominal_transition_ns));
+                             json_number(entry.nominal_transition_ns));
   result.object.emplace_back("lvf_delay", moments_to_json(entry.lvf_delay));
   result.object.emplace_back("lvf_transition",
                              moments_to_json(entry.lvf_transition));
@@ -362,7 +340,7 @@ obs::JsonValue encode_cached_entry(const spice::ProcessCorner& corner,
   result.object.emplace_back("lvf2_transition_report",
                              em_report_to_json(entry.lvf2_transition_report));
 
-  JsonValue doc = jobj();
+  JsonValue doc = json_object();
   doc.object.emplace_back("salt", ju64(kCharacterizeCacheSalt));
   doc.object.emplace_back("inputs", std::move(inputs));
   doc.object.emplace_back("result", std::move(result));

@@ -26,6 +26,41 @@ std::string JsonValue::string_or(std::string_view key,
                                                     : std::string(fallback);
 }
 
+JsonValue json_number(double v) {
+  JsonValue j;
+  j.type = JsonValue::Type::kNumber;
+  j.number = v;
+  return j;
+}
+
+JsonValue json_string(std::string s) {
+  JsonValue j;
+  j.type = JsonValue::Type::kString;
+  j.string = std::move(s);
+  return j;
+}
+
+JsonValue json_bool(bool b) {
+  JsonValue j;
+  j.type = JsonValue::Type::kBool;
+  j.boolean = b;
+  return j;
+}
+
+JsonValue json_array() {
+  JsonValue j;
+  j.type = JsonValue::Type::kArray;
+  return j;
+}
+
+JsonValue json_object(
+    std::initializer_list<std::pair<std::string, JsonValue>> members) {
+  JsonValue j;
+  j.type = JsonValue::Type::kObject;
+  j.object.assign(members.begin(), members.end());
+  return j;
+}
+
 void json_append_string(std::string& out, std::string_view s) {
   out += '"';
   for (char c : s) {

@@ -10,6 +10,7 @@
 // (%.9g renderings and counters below 2^53).
 
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -42,6 +43,15 @@ class JsonValue {
   /// `string` of member `key`, or `fallback` when absent / non-string.
   std::string string_or(std::string_view key, std::string_view fallback) const;
 };
+
+/// Value constructors for documents built in code.
+JsonValue json_number(double v);
+JsonValue json_string(std::string s);
+JsonValue json_bool(bool b);
+JsonValue json_array();
+/// An object holding `members` in order.
+JsonValue json_object(
+    std::initializer_list<std::pair<std::string, JsonValue>> members = {});
 
 /// Parses strict JSON. On failure returns nullopt and, when `error`
 /// is non-null, stores a one-line description with the byte offset.

@@ -264,67 +264,36 @@ void ManifestRecorder::set_config_provider(
   config_providers_.emplace_back(std::move(key), std::move(provider));
 }
 
-namespace {
-
-JsonValue jnum(double v) {
-  JsonValue j;
-  j.type = JsonValue::Type::kNumber;
-  j.number = v;
-  return j;
-}
-
-JsonValue jstr(std::string s) {
-  JsonValue j;
-  j.type = JsonValue::Type::kString;
-  j.string = std::move(s);
-  return j;
-}
-
-JsonValue jbool(bool b) {
-  JsonValue j;
-  j.type = JsonValue::Type::kBool;
-  j.boolean = b;
-  return j;
-}
-
-JsonValue jobj() {
-  JsonValue j;
-  j.type = JsonValue::Type::kObject;
-  return j;
-}
-
-}  // namespace
-
 JsonValue arc_qor_to_json(const ArcQor& arc) {
-  JsonValue doc = jobj();
-  doc.object.emplace_back("table", jstr(arc.table));
-  doc.object.emplace_back("cell", jstr(arc.cell));
-  doc.object.emplace_back("arc", jstr(arc.arc));
-  doc.object.emplace_back("metric", jstr(arc.metric));
-  doc.object.emplace_back("load_idx", jnum(arc.load_idx));
-  doc.object.emplace_back("slew_idx", jnum(arc.slew_idx));
-  doc.object.emplace_back("status", jstr(arc.status));
-  JsonValue golden = jobj();
-  golden.object.emplace_back("mean", jnum(arc.golden_mean));
-  golden.object.emplace_back("stddev", jnum(arc.golden_stddev));
-  golden.object.emplace_back("skewness", jnum(arc.golden_skewness));
+  JsonValue doc = json_object();
+  doc.object.emplace_back("table", json_string(arc.table));
+  doc.object.emplace_back("cell", json_string(arc.cell));
+  doc.object.emplace_back("arc", json_string(arc.arc));
+  doc.object.emplace_back("metric", json_string(arc.metric));
+  doc.object.emplace_back("load_idx", json_number(arc.load_idx));
+  doc.object.emplace_back("slew_idx", json_number(arc.slew_idx));
+  doc.object.emplace_back("status", json_string(arc.status));
+  JsonValue golden = json_object();
+  golden.object.emplace_back("mean", json_number(arc.golden_mean));
+  golden.object.emplace_back("stddev", json_number(arc.golden_stddev));
+  golden.object.emplace_back("skewness", json_number(arc.golden_skewness));
   doc.object.emplace_back("golden", std::move(golden));
-  JsonValue em = jobj();
+  JsonValue em = json_object();
   em.object.emplace_back("iterations",
-                         jnum(static_cast<double>(arc.em_iterations)));
-  em.object.emplace_back("log_likelihood", jnum(arc.em_log_likelihood));
-  em.object.emplace_back("converged", jbool(arc.em_converged));
-  em.object.emplace_back("degradation", jstr(arc.degradation));
+                         json_number(static_cast<double>(arc.em_iterations)));
+  em.object.emplace_back("log_likelihood", json_number(arc.em_log_likelihood));
+  em.object.emplace_back("converged", json_bool(arc.em_converged));
+  em.object.emplace_back("degradation", json_string(arc.degradation));
   doc.object.emplace_back("em", std::move(em));
-  JsonValue models = jobj();
+  JsonValue models = json_object();
   for (const ModelQor& m : arc.models) {
-    JsonValue row = jobj();
-    row.object.emplace_back("binning", jnum(m.binning));
-    row.object.emplace_back("yield_3sigma", jnum(m.yield_3sigma));
-    row.object.emplace_back("cdf_rmse", jnum(m.cdf_rmse));
-    row.object.emplace_back("x_binning", jnum(m.x_binning));
-    row.object.emplace_back("x_yield_3sigma", jnum(m.x_yield_3sigma));
-    row.object.emplace_back("x_cdf_rmse", jnum(m.x_cdf_rmse));
+    JsonValue row = json_object();
+    row.object.emplace_back("binning", json_number(m.binning));
+    row.object.emplace_back("yield_3sigma", json_number(m.yield_3sigma));
+    row.object.emplace_back("cdf_rmse", json_number(m.cdf_rmse));
+    row.object.emplace_back("x_binning", json_number(m.x_binning));
+    row.object.emplace_back("x_yield_3sigma", json_number(m.x_yield_3sigma));
+    row.object.emplace_back("x_cdf_rmse", json_number(m.x_cdf_rmse));
     models.object.emplace_back(m.model, std::move(row));
   }
   doc.object.emplace_back("models", std::move(models));

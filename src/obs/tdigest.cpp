@@ -143,26 +143,17 @@ double TDigest::quantile(double q) const {
 
 JsonValue TDigest::to_json() const {
   merge_buffer();
-  JsonValue out;
-  out.type = JsonValue::Type::kObject;
-  const auto number = [](double v) {
-    JsonValue j;
-    j.type = JsonValue::Type::kNumber;
-    j.number = v;
-    return j;
-  };
-  out.object.emplace_back("compression", number(compression_));
-  out.object.emplace_back("count", number(count_));
-  out.object.emplace_back("sum", number(sum_));
-  out.object.emplace_back("min", number(count_ > 0.0 ? min_ : 0.0));
-  out.object.emplace_back("max", number(count_ > 0.0 ? max_ : 0.0));
-  JsonValue centroids;
-  centroids.type = JsonValue::Type::kArray;
+  JsonValue out = json_object();
+  out.object.emplace_back("compression", json_number(compression_));
+  out.object.emplace_back("count", json_number(count_));
+  out.object.emplace_back("sum", json_number(sum_));
+  out.object.emplace_back("min", json_number(count_ > 0.0 ? min_ : 0.0));
+  out.object.emplace_back("max", json_number(count_ > 0.0 ? max_ : 0.0));
+  JsonValue centroids = json_array();
   for (const Centroid& c : centroids_) {
-    JsonValue pair;
-    pair.type = JsonValue::Type::kArray;
-    pair.array.push_back(number(c.mean));
-    pair.array.push_back(number(c.weight));
+    JsonValue pair = json_array();
+    pair.array.push_back(json_number(c.mean));
+    pair.array.push_back(json_number(c.weight));
     centroids.array.push_back(std::move(pair));
   }
   out.object.emplace_back("centroids", std::move(centroids));

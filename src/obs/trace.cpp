@@ -1,11 +1,12 @@
 #include "obs/trace.h"
 
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <ctime>
 #include <functional>
 #include <thread>
+
+#include "obs/json.h"
 
 namespace lvf2::obs {
 
@@ -29,50 +30,10 @@ std::uint32_t current_tid() {
       std::hash<std::thread::id>{}(std::this_thread::get_id()) & 0x7fffffff);
 }
 
-// Minimal JSON string escaping: quote, backslash, and control chars.
-void append_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 // Fixed-point rendering of a timestamp (microseconds).
 void append_double(std::string& out, double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.3f", v);
-  out += buf;
-}
-
-// General value rendering; non-finite values are not valid JSON and
-// degrade to null.
-void append_value(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
   out += buf;
 }
 
@@ -101,20 +62,17 @@ double thread_cpu_us() {
 
 ArgsBuilder& ArgsBuilder::add(std::string_view key, std::string_view value) {
   if (!body_.empty()) body_ += ',';
-  body_ += '"';
-  append_escaped(body_, key);
-  body_ += "\":\"";
-  append_escaped(body_, value);
-  body_ += '"';
+  json_append_string(body_, key);
+  body_ += ':';
+  json_append_string(body_, value);
   return *this;
 }
 
 ArgsBuilder& ArgsBuilder::add_number(std::string_view key,
                                      std::string rendered) {
   if (!body_.empty()) body_ += ',';
-  body_ += '"';
-  append_escaped(body_, key);
-  body_ += "\":";
+  json_append_string(body_, key);
+  body_ += ':';
   body_ += rendered;
   return *this;
 }
@@ -225,9 +183,9 @@ void Tracer::complete_event(std::string_view name, double start_us,
   if (sink_ == nullptr) return;
   std::string e;
   e.reserve(96 + name.size() + args_json.size());
-  e += "{\"name\":\"";
-  append_escaped(e, name);
-  e += "\",\"cat\":\"lvf2\",\"ph\":\"X\",\"ts\":";
+  e += "{\"name\":";
+  json_append_string(e, name);
+  e += ",\"cat\":\"lvf2\",\"ph\":\"X\",\"ts\":";
   append_double(e, start_us);
   e += ",\"dur\":";
   append_double(e, dur_us);
@@ -244,14 +202,14 @@ void Tracer::complete_event(std::string_view name, double start_us,
 void Tracer::counter_event(std::string_view name, double value) {
   std::string e;
   e.reserve(80 + name.size());
-  e += "{\"name\":\"";
-  append_escaped(e, name);
-  e += "\",\"ph\":\"C\",\"ts\":";
+  e += "{\"name\":";
+  json_append_string(e, name);
+  e += ",\"ph\":\"C\",\"ts\":";
   append_double(e, now_us());
   e += ",\"pid\":1,\"tid\":";
   e += std::to_string(current_tid());
   e += ",\"args\":{\"value\":";
-  append_value(e, value);
+  json_append_number(e, value);
   e += "}}";
   std::lock_guard<std::mutex> lock(mutex_);
   if (sink_ == nullptr) return;  // rollup-only mode: counters no-op

@@ -25,6 +25,10 @@ namespace lvf2::serve {
 
 namespace {
 
+using obs::json_number;
+using obs::json_object;
+using obs::json_string;
+
 // A characterized entry plus the degradation rung that produced it.
 struct EntryView {
   cells::ConditionCharacterization cc;
@@ -261,26 +265,6 @@ EntryView acquire_entry(HandlerContext& ctx, const ArcRef& ref,
   return view;
 }
 
-obs::JsonValue json_object() {
-  obs::JsonValue v;
-  v.type = obs::JsonValue::Type::kObject;
-  return v;
-}
-
-obs::JsonValue json_number(double v) {
-  obs::JsonValue out;
-  out.type = obs::JsonValue::Type::kNumber;
-  out.number = v;
-  return out;
-}
-
-obs::JsonValue json_string(std::string s) {
-  obs::JsonValue out;
-  out.type = obs::JsonValue::Type::kString;
-  out.string = std::move(s);
-  return out;
-}
-
 obs::JsonValue moments_json(const stats::SnMoments& m) {
   obs::JsonValue out = json_object();
   out.object.emplace_back("mean", json_number(m.mean));
@@ -338,10 +322,8 @@ HandlerResult op_bin(HandlerContext& ctx, const ArcRef& ref, ExecMode mode) {
   HandlerResult out;
   out.degradation = view.degradation;
   out.result = arc_header_json(ref, view);
-  obs::JsonValue bounds;
-  bounds.type = obs::JsonValue::Type::kArray;
-  obs::JsonValue probs;
-  probs.type = obs::JsonValue::Type::kArray;
+  obs::JsonValue bounds = obs::json_array();
+  obs::JsonValue probs = obs::json_array();
   if (sigma > 0.0 && std::isfinite(sigma)) {
     const std::vector<double> boundaries = core::sigma_bin_boundaries(mu, sigma);
     const std::vector<double> p = core::bin_probabilities(
@@ -513,10 +495,7 @@ HandlerResult op_yield_hs(HandlerContext& ctx, const ArcRef& ref,
   out.result.object.emplace_back("max_weight_fraction",
                                  json_number(est.max_weight_fraction));
   out.result.object.emplace_back("shift_norm", json_number(shift_norm));
-  obs::JsonValue converged;
-  converged.type = obs::JsonValue::Type::kBool;
-  converged.boolean = est.converged;
-  out.result.object.emplace_back("converged", std::move(converged));
+  out.result.object.emplace_back("converged", obs::json_bool(est.converged));
   out.result.object.emplace_back("method", json_string("importance"));
   return out;
 }
@@ -530,7 +509,7 @@ HandlerResult op_stats(const HandlerContext& ctx) {
         json_number(static_cast<double>(obs::counter(counter).value())));
   };
   add("accepted", "serve.accepted");
-  add("completed", "serve.completed");
+  add("completed", "serve.responded");
   add("rejected", "serve.rejected");
   add("shed_overload", "serve.shed.overload");
   add("shed_deadline", "serve.shed.deadline");

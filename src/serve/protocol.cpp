@@ -162,8 +162,7 @@ core::Status parse_request(const std::string& body, Request& out) {
       params != nullptr && params->is_object()) {
     out.params = *params;
   } else {
-    out.params = obs::JsonValue{};
-    out.params.type = obs::JsonValue::Type::kObject;
+    out.params = obs::json_object();
   }
   if (out.op.empty()) {
     return core::Status::invalid_argument("request is missing \"op\"");
