@@ -59,10 +59,7 @@ int main(int argc, char** argv) {
 
   core::FitOptions fit;
   fit.likelihood_bins = 384;
-  if (!args.full) {
-    fit.em_max_iterations = 40;
-    fit.mstep_evaluations = 140;
-  }
+  if (!args.full) fit.em_max_iterations = 40;
 
   std::map<std::string, TypeAggregate> aggregates;
   std::vector<std::string> type_order = library.type_names();

@@ -249,7 +249,7 @@ if [ "$PERF" = 1 ]; then
   # pair into BENCH_perf_micro.json (env -u LVF2_CACHE: any cache
   # setting, even =off, voids the cold-entry bench).
   env -u LVF2_CACHE LVF2_BENCH_JSON="$(pwd)" "$BUILD_DIR/bench/bench_perf" \
-    --benchmark_filter='BM_Disabled.*|BM_PoolTelemetryOverhead|BM_.*Kernel/.*|BM_CharacterizeEntryCold/.*' \
+    --benchmark_filter='BM_Disabled.*|BM_PoolTelemetryOverhead|BM_.*Kernel/.*|BM_SkewNormalMStep/.*|BM_CharacterizeEntryCold/.*' \
     --benchmark_min_time=0.2 >"$PERF_DIR/bench_perf.txt" 2>&1 \
     || { cat "$PERF_DIR/bench_perf.txt"; exit 1; }
   [ -s BENCH_perf_micro.json ] \
@@ -283,6 +283,21 @@ assert "BM_CharacterizeEntryCold_pre_simd_scalar_baseline_ms" in cold, \
 vec = [k for k in ("BM_CharacterizeEntryCold_1", "BM_CharacterizeEntryCold_2")
        if k in reg]
 assert vec, "no vector-tier cold-entry row (SSE2/AVX2 both unavailable?)"
+# The Newton M-step's fused kernel and the L1 M-step row, each with a
+# scalar row and at least one vector-tier row; the M-step rows carry
+# their per-M-step Newton iteration and evaluation counters.
+for row in ("BM_SkewNormalNllScoreKernel", "BM_SkewNormalMStep"):
+    assert f"{row}_0" in reg, f"no scalar {row} row"
+    assert f"{row}_1" in reg or f"{row}_2" in reg, \
+        f"no vector-tier {row} row"
+for k in [k for k in reg if k.startswith("BM_SkewNormalMStep_")
+          and k[len("BM_SkewNormalMStep_"):].isdigit()]:
+    for counter in ("newton_iterations", "evaluations"):
+        assert reg.get(f"{k}_{counter}", 0) >= 1, f"{k} has no {counter}"
+mstep = ", ".join(
+    f"{k[-1]}: {reg[k]:.0f} us / {reg[k + '_newton_iterations']:.1f} it"
+    for k in sorted(reg) if k[:-1] == "BM_SkewNormalMStep_")
+print(f"ok: fused M-step kernel rows + M-step rows ({mstep})")
 base = reg["BM_CharacterizeEntryCold_pre_simd_scalar_baseline_ms"]
 best = min(reg[k] for k in vec)
 print(f"ok: {len(kernel_rows)} kernel rows; cold entry best vector tier "

@@ -206,10 +206,17 @@ void axpy(double a, std::span<const double> x, std::span<double> y) {
   kernels().axpy(a, x.data(), y.data(), x.size());
 }
 
-double sn_weighted_nll(double xi, double omega, double alpha,
-                       std::span<const double> x,
-                       std::span<const double> w) {
-  return kernels().sn_nll(xi, omega, alpha, x.data(), w.data(), x.size());
+SnScore sn_weighted_nll_score(double xi, double omega, double alpha,
+                              std::span<const double> x,
+                              std::span<const double> w) {
+  double out[10];
+  kernels().sn_nll_score(xi, omega, alpha, x.data(), w.data(), x.size(),
+                         out);
+  SnScore s;
+  s.nll = out[0];
+  for (int k = 0; k < 3; ++k) s.score[k] = out[1 + k];
+  for (int k = 0; k < 6; ++k) s.hessian[k] = out[4 + k];
+  return s;
 }
 
 }  // namespace lvf2::simd

@@ -37,12 +37,13 @@ struct KernelTable {
   // y[i] += a * x[i] with an unfused multiply+add on every tier, so
   // grid convolution stays bitwise identical across tiers.
   void (*axpy)(double a, const double*, double*, std::size_t);
-  // Fused M-step objective: -sum_{w_i > 0} w_i * sn_log_pdf(x_i).
-  // Scalar tier reproduces the buffer+scalar-loop formulation bitwise;
-  // vector tiers fuse the reduction (per-lane accumulators, summed in
-  // lane order).
-  double (*sn_nll)(double xi, double omega, double alpha, const double* x,
-                   const double* w, std::size_t n);
+  // Fused M-step pass: out[0] = -sum_{w_i > 0} w_i * sn_log_pdf(x_i),
+  // out[1..3] the weighted score and out[4..9] the packed Hessian of
+  // the log-likelihood in (xi, omega, alpha). One kernels_impl.h body
+  // serves all three tiers (the scalar tier is its index-order loop).
+  void (*sn_nll_score)(double xi, double omega, double alpha,
+                       const double* x, const double* w, std::size_t n,
+                       double* out);
 };
 
 /// Always available (element-wise delegation to stats::).

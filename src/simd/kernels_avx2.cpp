@@ -30,7 +30,7 @@ constexpr KernelTable kAvx2Table = {
     k_normal_mu_sigma_log_pdf<VecAvx2>,
     k_em_responsibilities<VecAvx2>,
     k_axpy<VecAvx2>,
-    k_sn_nll<VecAvx2>,
+    k_sn_nll_score<VecAvx2>,
 };
 }  // namespace
 

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 #include "simd/vmath.h"
 #include "stats/special_functions.h"
@@ -296,45 +297,122 @@ void k_sn_log_pdf(double xi, double omega, double alpha, const double* x,
   }
 }
 
-/// Fused weighted NLL for the Nelder-Mead M-step objective: the
-/// optimizer calls this tens of thousands of times per fit, so the
-/// log-pdf never round-trips through a buffer. z uses a hoisted
-/// reciprocal multiply (one extra rounding vs the division — well
-/// inside this tier's documented tolerance). Lanes with w <= 0
-/// contribute exactly zero (blend after the multiply, so a non-finite
-/// log-pdf on an excluded lane cannot leak in); the lane accumulators
-/// are summed in lane order and the remainder in index order, keeping
-/// the reduction deterministic for a fixed n.
+/// Per-point terms of the fused skew-normal M-step kernel, written
+/// once over a lane type T: a vec.h wrapper for the vector body, or a
+/// plain double for the scalar tier and every vector tier's tail (which
+/// then calls the per-sample stats:: functions). With z = (x - xi)/omega,
+/// u = alpha z, zeta1 = phi(u)/Phi(u) = exp(log phi(u) - log Phi(u)) and
+/// zeta2 = -zeta1 (u + zeta1), t receives the log-pdf, the score of the
+/// log-pdf in (xi, omega, alpha) and its six Hessian entries (xx, xw,
+/// xa, ww, wa, aa), each with its omega power factored out (score
+/// xi/omega terms carry 1/omega, Hessian xi/omega pairs 1/omega^2,
+/// mixed ones 1/omega) so the kernel scales the sums once. The log-pdf
+/// is the exact expression of SkewNormal::log_pdf. V names the tier
+/// that owns the instantiation: the double form is instantiated once
+/// per tier under a distinct name, so no vector-encoded copy of it can
+/// be shared with the portable scalar TU.
+template <class V, class T>
+void sn_score_terms(T x, T xi, T omega, T alpha, T lg2w, T lgs2pi,
+                    T (&t)[10]) {
+  constexpr bool kScalar = std::is_same_v<T, double>;
+  const auto c = [](double v) {
+    if constexpr (kScalar) {
+      return v;
+    } else {
+      return T::broadcast(v);
+    }
+  };
+  const auto ng = [](T v) {
+    if constexpr (kScalar) {
+      return -v;
+    } else {
+      return neg(v);
+    }
+  };
+  const T z = (x - xi) / omega;
+  const T u = alpha * z;
+  T lc, zeta1;
+  if constexpr (kScalar) {
+    lc = stats::normal_log_cdf(u);
+    zeta1 = std::exp((-0.5 * u * u - lgs2pi) - lc);
+  } else {
+    lc = vnormal_log_cdf(u);
+    zeta1 = vexp((c(-0.5) * u * u - lgs2pi) - lc);
+  }
+  const T zeta2 = ng(zeta1) * (u + zeta1);
+  const T a = alpha * zeta1;
+  const T b = alpha * alpha * zeta2;
+  const T z2 = z * z;
+  t[0] = lg2w - c(0.5) * z * z - lgs2pi + lc;
+  t[1] = z - a;
+  t[2] = z2 - c(1.0) - z * a;
+  t[3] = z * zeta1;
+  t[4] = b - c(1.0);
+  t[5] = (a - c(2.0) * z) + z * b;
+  t[6] = ng(zeta1) - alpha * z * zeta2;
+  t[7] = ((c(1.0) - c(3.0) * z2) + c(2.0) * z * a) + z2 * b;
+  t[8] = ng(z * zeta1) - alpha * z2 * zeta2;
+  t[9] = z2 * zeta2;
+}
+
+/// Fused M-step pass (simd::sn_weighted_nll_score): out[0] = NLL =
+/// -sum w log f, out[1..3] the score and out[4..9] the Hessian of the
+/// weighted log-likelihood, over the points with w > 0 (zero, negative
+/// and NaN weights contribute exactly nothing: the vector body blends
+/// after the multiply, so a non-finite term on an excluded lane cannot
+/// leak in, and blocks with no positive weight are skipped). The
+/// vector body keeps per-lane accumulators summed in lane order, the
+/// tail runs in index order, so the result is deterministic for a
+/// fixed n. V = double is the scalar tier: everything runs through the
+/// index-order loop, bitwise identical to a per-sample stats:: loop.
 template <class V>
-double k_sn_nll(double xi, double omega, double alpha, const double* x,
-                const double* w, std::size_t n) {
+void k_sn_nll_score(double xi, double omega, double alpha, const double* x,
+                    const double* w, std::size_t n, double* out) {
   const double lg2w = std::log(2.0 / omega);
   const double lgs2pi = std::log(stats::kSqrt2Pi);
-  const V vxi = V::broadcast(xi);
-  const V vrw = V::broadcast(1.0 / omega);
-  const V valpha = V::broadcast(alpha);
-  const V c1 = V::broadcast(lg2w);
-  const V c2 = V::broadcast(lgs2pi);
-  const V half = V::broadcast(0.5);
-  V acc = V::zero();
+  double sums[10] = {};
   std::size_t i = 0;
-  for (; i + V::kLanes <= n; i += V::kLanes) {
-    const V wv = V::load(w + i);
-    const V z = (V::load(x + i) - vxi) * vrw;
-    const V lp = (c1 - half * z * z) - c2 + vnormal_log_cdf(valpha * z);
-    acc = acc + blend_v(cmp_lt(V::zero(), wv), wv * lp, V::zero());
+  if constexpr (!std::is_same_v<V, double>) {
+    const V vxi = V::broadcast(xi);
+    const V vomega = V::broadcast(omega);
+    const V valpha = V::broadcast(alpha);
+    const V c1 = V::broadcast(lg2w);
+    const V c2 = V::broadcast(lgs2pi);
+    V acc[10];
+    for (V& a : acc) a = V::zero();
+    for (; i + V::kLanes <= n; i += V::kLanes) {
+      const V wv = V::load(w + i);
+      const V keep = cmp_lt(V::zero(), wv);
+      if (!any(keep)) continue;
+      V t[10];
+      sn_score_terms<V>(V::load(x + i), vxi, vomega, valpha, c1, c2, t);
+      for (int k = 0; k < 10; ++k) {
+        acc[k] = acc[k] + blend_v(keep, wv * t[k], V::zero());
+      }
+    }
+    for (int k = 0; k < 10; ++k) {
+      double lanes[V::kLanes];
+      acc[k].store(lanes);
+      for (int lane = 0; lane < V::kLanes; ++lane) sums[k] += lanes[lane];
+    }
   }
-  double lanes[V::kLanes];
-  acc.store(lanes);
-  double total = 0.0;
-  for (int lane = 0; lane < V::kLanes; ++lane) total += lanes[lane];
   for (; i < n; ++i) {
-    if (w[i] <= 0.0) continue;
-    const double z = (x[i] - xi) / omega;
-    total += w[i] * (lg2w - 0.5 * z * z - lgs2pi +
-                     stats::normal_log_cdf(alpha * z));
+    if (!(w[i] > 0.0)) continue;
+    double t[10];
+    sn_score_terms<V>(x[i], xi, omega, alpha, lg2w, lgs2pi, t);
+    for (int k = 0; k < 10; ++k) sums[k] += w[i] * t[k];
   }
-  return -total;
+  const double omega2 = omega * omega;
+  out[0] = -sums[0];
+  out[1] = sums[1] / omega;
+  out[2] = sums[2] / omega;
+  out[3] = sums[3];
+  out[4] = sums[4] / omega2;
+  out[5] = sums[5] / omega2;
+  out[6] = sums[6] / omega;
+  out[7] = sums[7] / omega2;
+  out[8] = sums[8] / omega;
+  out[9] = sums[9];
 }
 
 template <class V>

@@ -3,12 +3,15 @@
 // identical to the pre-batch code paths by construction. This is the
 // tier the zero-tolerance golden-manifest gate runs against
 // (LVF2_SIMD=scalar), and the correctness reference the SIMD tiers'
-// ULP tests compare to.
+// ULP tests compare to. The fused M-step kernel is the one exception
+// to the hand-written loops: its kernels_impl.h body, instantiated at
+// double, is already an index-order loop over stats:: calls.
 
 #include <cmath>
 #include <cstddef>
 
 #include "simd/kernel_table.h"
+#include "simd/kernels_impl.h"
 #include "stats/special_functions.h"
 
 namespace lvf2::simd::detail {
@@ -111,22 +114,6 @@ void s_axpy(double a, const double* x, double* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
 }
 
-double s_sn_nll(double xi, double omega, double alpha, const double* x,
-                const double* w, std::size_t n) {
-  // Bitwise-identical to filling a log-pdf buffer with s_sn_log_pdf
-  // and reducing it with the historical scalar loop: same per-sample
-  // expressions, same terms, same order.
-  double nll = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (w[i] <= 0.0) continue;
-    const double z = (x[i] - xi) / omega;
-    nll -= w[i] * (std::log(2.0 / omega) - 0.5 * z * z -
-                   std::log(stats::kSqrt2Pi) +
-                   stats::normal_log_cdf(alpha * z));
-  }
-  return nll;
-}
-
 constexpr KernelTable kScalarTable = {
     s_normal_pdf,
     s_normal_cdf,
@@ -142,7 +129,7 @@ constexpr KernelTable kScalarTable = {
     s_normal_mu_sigma_log_pdf,
     s_em_responsibilities,
     s_axpy,
-    s_sn_nll,
+    k_sn_nll_score<double>,
 };
 
 }  // namespace

@@ -27,7 +27,7 @@ constexpr KernelTable kSse2Table = {
     k_normal_mu_sigma_log_pdf<VecSse2>,
     k_em_responsibilities<VecSse2>,
     k_axpy<VecSse2>,
-    k_sn_nll<VecSse2>,
+    k_sn_nll_score<VecSse2>,
 };
 }  // namespace
 

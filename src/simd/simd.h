@@ -73,14 +73,23 @@ void em_responsibilities(double log_w_a, double log_w_b,
 /// y[i] += a * x[i], never fused (bitwise identical across tiers).
 void axpy(double a, std::span<const double> x, std::span<double> y);
 
-/// Fused M-step objective: -sum over {i : w[i] > 0} of
-/// w[i] * sn_log_pdf(xi, omega, alpha; x[i]). On the scalar tier this
-/// is bitwise identical to filling a log-pdf buffer and reducing it
-/// with the historical scalar loop; the vector tiers fuse the
-/// reduction (per-lane accumulators summed in lane order, so the
-/// result is deterministic for a fixed size).
-double sn_weighted_nll(double xi, double omega, double alpha,
-                       std::span<const double> x,
-                       std::span<const double> w);
+/// Weighted skew-normal likelihood with its derivatives, in one pass
+/// (the Newton M-step's only kernel). Over {i : w[i] > 0}, with
+/// l = sum w[i] * sn_log_pdf(xi, omega, alpha; x[i]):
+struct SnScore {
+  double nll = 0.0;        ///< -l
+  double score[3] = {};    ///< dl/d(xi, omega, alpha)
+  double hessian[6] = {};  ///< d2l, packed: xx, xw, xa, ww, wa, aa
+};
+
+/// The scalar tier is bitwise identical to an index-order loop over
+/// the per-sample stats:: functions (its nll equals filling a log-pdf
+/// buffer and reducing it); the vector tiers keep per-lane
+/// accumulators summed in lane order, so the result is deterministic
+/// for a fixed size. Zero, negative and NaN weights contribute
+/// nothing, whatever x holds.
+SnScore sn_weighted_nll_score(double xi, double omega, double alpha,
+                              std::span<const double> x,
+                              std::span<const double> w);
 
 }  // namespace lvf2::simd

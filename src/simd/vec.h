@@ -6,12 +6,15 @@
 // kernels_impl.h are written once as templates and instantiated per
 // ISA in kernels_sse2.cpp / kernels_avx2.cpp.
 //
-// This header is only included from the per-tier translation units:
-// kernels_sse2.cpp (baseline x86-64 — SSE2 is unconditional there)
-// and kernels_avx2.cpp (compiled with -mavx2 -mfma, guarded by
-// __AVX2__ so other build targets simply skip the type). Nothing
-// here may leak into baseline TUs: per-TU -march flags must not
-// generate inline code reachable from the portable binary.
+// This header is only included from the kernel translation units:
+// kernels_sse2.cpp (baseline x86-64 — SSE2 is unconditional there),
+// kernels_avx2.cpp (compiled with -mavx2 -mfma, guarded by __AVX2__
+// so other build targets simply skip the type) and, through the
+// shared M-step body in kernels_impl.h, kernels_scalar.cpp, which
+// instantiates no lane type (each wrapper is guarded by its ISA
+// macro, so that TU builds on any target). Nothing here may leak into
+// baseline TUs: per-TU -march flags must not generate inline code
+// reachable from the portable binary.
 //
 // Two-product policy: mul_add() fuses on AVX2 (vfmadd) and falls
 // back to separate multiply+add on SSE2; two_prod() is an *exact*
@@ -19,11 +22,15 @@
 // SSE2 — because the double-double correction steps in vmath.h need
 // the true residual, not a faster rounding.
 
-#include <immintrin.h>
-
 #include <cstdint>
 
+#if defined(__SSE2__)
+#include <immintrin.h>
+#endif
+
 namespace lvf2::simd {
+
+#if defined(__SSE2__)
 
 struct VecSse2 {
   __m128d v;
@@ -152,6 +159,8 @@ inline void log_split(VecSse2 x, VecSse2& m, VecSse2& k) {
   __m128i lo32 = _mm_shuffle_epi32(e, _MM_SHUFFLE(3, 1, 2, 0));
   k = {_mm_cvtepi32_pd(lo32)};
 }
+
+#endif  // __SSE2__
 
 #if defined(__AVX2__) && defined(__FMA__)
 

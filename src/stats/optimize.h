@@ -1,7 +1,7 @@
 #pragma once
 // Derivative-free optimizers used by the model fits:
-//  - Nelder-Mead simplex (multi-dimensional) for the LVF^2 M-step and
-//    for LESN moment matching,
+//  - Nelder-Mead simplex (multi-dimensional) for the ESN and log-ESN
+//    shape fits,
 //  - Brent minimization and bisection root finding (1-D) for quantile
 //    inversion and scalar calibration problems.
 

@@ -8,7 +8,6 @@
 
 #include "obs/metrics.h"
 #include "simd/simd.h"
-#include "stats/optimize.h"
 #include "stats/special_functions.h"
 
 namespace lvf2::stats {
@@ -36,6 +35,38 @@ double delta_of_skewness(double gamma) {
   const double b2 = kB * kB;  // 2/pi
   const double delta2 = g23 / (b2 * (g23 + c23));
   return sign * std::sqrt(std::min(delta2, 1.0 - 1e-12));
+}
+
+// Newton M-step controls: stop on a relative parameter move below
+// kMleRelativeMove; give up on a direction after kMleMaxHalvings
+// step halvings; |alpha| beyond kMaxAlpha is treated as infeasible.
+constexpr double kMleRelativeMove = 1e-7;
+constexpr int kMleMaxHalvings = 30;
+constexpr double kMaxAlpha = 1e6;
+
+// Solves A d = b for a symmetric 3x3 A (packed xx, xy, xz, yy, yz, zz)
+// by Cholesky. Returns false unless A is numerically positive definite
+// (every pivot above 1e-12 of its diagonal entry).
+bool solve_spd(const double (&a)[6], const double (&b)[3], double (&d)[3]) {
+  const auto pivot = [](double v, double diag) {
+    return (v > 1e-12 * diag) ? std::sqrt(v) : 0.0;
+  };
+  const double l00 = pivot(a[0], a[0]);
+  if (l00 == 0.0) return false;
+  const double l10 = a[1] / l00;
+  const double l20 = a[2] / l00;
+  const double l11 = pivot(a[3] - l10 * l10, a[3]);
+  if (l11 == 0.0) return false;
+  const double l21 = (a[4] - l20 * l10) / l11;
+  const double l22 = pivot(a[5] - l20 * l20 - l21 * l21, a[5]);
+  if (l22 == 0.0) return false;
+  const double y0 = b[0] / l00;
+  const double y1 = (b[1] - l10 * y0) / l11;
+  const double y2 = (b[2] - l20 * y0 - l21 * y1) / l22;
+  d[2] = y2 / l22;
+  d[1] = (y1 - l21 * d[2]) / l11;
+  d[0] = (y0 - l10 * d[1] - l20 * d[2]) / l00;
+  return std::isfinite(d[0]) && std::isfinite(d[1]) && std::isfinite(d[2]);
 }
 
 }  // namespace
@@ -182,16 +213,11 @@ std::optional<SkewNormal> SkewNormal::fit_moments(
 
 std::optional<SkewNormal> SkewNormal::fit_weighted_mle(
     std::span<const double> samples, std::span<const double> weights,
-    const SkewNormal* initial, std::size_t max_evaluations) {
-  NelderMeadOptions options;
-  options.max_evaluations = max_evaluations;
-  options.initial_step = 0.25;
-  return fit_weighted_mle(samples, weights, initial, options);
-}
-
-std::optional<SkewNormal> SkewNormal::fit_weighted_mle(
-    std::span<const double> samples, std::span<const double> weights,
-    const SkewNormal* initial, const NelderMeadOptions& options) {
+    const SkewNormal* initial, std::size_t max_iterations,
+    MleReport* report) {
+  MleReport scratch;
+  MleReport& rep = (report != nullptr) ? *report : scratch;
+  rep = MleReport{};
   if (samples.empty() || samples.size() != weights.size()) return std::nullopt;
   std::optional<SkewNormal> start;
   if (initial != nullptr) {
@@ -201,26 +227,66 @@ std::optional<SkewNormal> SkewNormal::fit_weighted_mle(
   }
   if (!start) return std::nullopt;
 
-  // The optimizer calls this objective tens of thousands of times per
-  // LVF^2 fit; it runs entirely inside the fused batch kernel
-  // (simd.h), whose scalar tier matches the historical
-  // buffer-then-reduce formulation bitwise.
-  const auto objective = [&](std::span<const double> p) {
-    const double xi = p[0];
-    const double omega = std::exp(p[1]);
-    const double alpha = p[2];
-    if (!std::isfinite(omega) || omega <= 0.0 || std::fabs(alpha) > 1e6) {
-      return std::numeric_limits<double>::infinity();
-    }
-    return simd::sn_weighted_nll(xi, omega, alpha, samples, weights);
+  const auto evaluate = [&](const double (&p)[3]) {
+    ++rep.evaluations;
+    return simd::sn_weighted_nll_score(p[0], p[1], p[2], samples, weights);
   };
-
-  const double x0[3] = {start->xi(), std::log(start->omega()), start->alpha()};
-  const MinimizeResult r = nelder_mead(objective, x0, options);
-  if (r.x.size() != 3 || !std::isfinite(r.value)) return start;
-  const double omega = std::exp(r.x[1]);
-  if (!(omega > 0.0) || !std::isfinite(omega)) return start;
-  return SkewNormal(r.x[0], omega, r.x[2]);
+  double theta[3] = {start->xi(), start->omega(), start->alpha()};
+  simd::SnScore at = evaluate(theta);
+  if (!std::isfinite(at.nll)) return start;
+  // Parameter moves are measured in units of omega for xi and omega
+  // and relative to max(|alpha|, 1) for alpha.
+  const auto move = [&](const double (&d)[3]) {
+    return std::max({std::fabs(d[0]) / theta[1], std::fabs(d[1]) / theta[1],
+                     std::fabs(d[2]) / std::max(std::fabs(theta[2]), 1.0)});
+  };
+  while (rep.iterations < max_iterations) {
+    ++rep.iterations;
+    // Newton direction for the NLL: solve (-H) d = score.
+    double neg_h[6];
+    for (int k = 0; k < 6; ++k) neg_h[k] = -at.hessian[k];
+    double d[3];
+    if (!solve_spd(neg_h, at.score, d)) {
+      // Not negative definite: Levenberg-Marquardt damping on the
+      // diagonal until the damped system is positive definite.
+      bool solved = false;
+      for (double mu = 1e-4; mu <= 1e8 && !solved; mu *= 10.0) {
+        double damped[6];
+        std::copy(neg_h, neg_h + 6, damped);
+        for (const int k : {0, 3, 5}) {
+          damped[k] += mu * (std::fabs(neg_h[k]) > 0.0 ? std::fabs(neg_h[k])
+                                                       : 1.0);
+        }
+        solved = solve_spd(damped, at.score, d);
+      }
+      if (!solved) break;
+    }
+    if (!(move(d) >= kMleRelativeMove)) break;  // converged (or NaN)
+    // Backtracking: halve until the weighted NLL does not increase,
+    // giving up once the step is itself below the stopping move (a
+    // rejection there is rounding noise at the optimum).
+    bool accepted = false;
+    double t = 1.0;
+    for (int halving = 0; halving < kMleMaxHalvings; ++halving, t *= 0.5) {
+      const double step[3] = {t * d[0], t * d[1], t * d[2]};
+      if (move(step) < kMleRelativeMove) break;
+      const double trial[3] = {theta[0] + step[0], theta[1] + step[1],
+                               theta[2] + step[2]};
+      if (!(trial[1] > 0.0) || !std::isfinite(trial[0]) ||
+          !(std::fabs(trial[2]) <= kMaxAlpha)) {
+        continue;
+      }
+      const simd::SnScore next = evaluate(trial);
+      if (next.nll <= at.nll) {
+        std::copy(trial, trial + 3, theta);
+        at = next;
+        accepted = true;
+        break;
+      }
+    }
+    if (!accepted) break;
+  }
+  return SkewNormal(theta[0], theta[1], theta[2]);
 }
 
 }  // namespace lvf2::stats

@@ -18,6 +18,7 @@
 // measured on the current kernels (see the table in DESIGN.md), so
 // they fail on a real regression, not on compiler jitter.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -30,6 +31,8 @@
 
 #include "simd/simd.h"
 #include "stats/special_functions.h"
+
+#include "test_util.h"
 
 namespace lvf2 {
 namespace {
@@ -71,15 +74,7 @@ std::vector<simd::Tier> reachable_tiers() {
   return tiers;
 }
 
-class TierGuard {
- public:
-  explicit TierGuard(simd::Tier tier)
-      : prev_(simd::set_tier_for_testing(tier)) {}
-  ~TierGuard() { simd::set_tier_for_testing(prev_); }
-
- private:
-  simd::Tier prev_;
-};
+using test::TierGuard;
 
 // Edge inputs every kernel must survive, followed by a dense sweep
 // through all the band seams of the normal primitives (|x| = 3.5 and
@@ -294,8 +289,136 @@ TEST(SimdScalarTier, SnWeightedNllBitwiseVsBufferAndReduce) {
   for (std::size_t i = 0; i < x.size(); ++i) {
     if (w[i] > 0.0) want -= w[i] * lp[i];
   }
-  const double got = simd::sn_weighted_nll(xi, omega, alpha, x, w);
+  const double got = simd::sn_weighted_nll_score(xi, omega, alpha, x, w).nll;
   EXPECT_EQ(ulp_diff(got, want), 0u) << got << " vs " << want;
+}
+
+// Per-sample stats:: reference of the fused M-step kernel: the same
+// per-point expressions, accumulated in index order. `scale` receives
+// sum w |term| per output (the conditioning of each sum, which the
+// vector-tier bounds are relative to).
+simd::SnScore sn_score_reference(double xi, double omega, double alpha,
+                                 const std::vector<double>& x,
+                                 const std::vector<double>& w,
+                                 double (*scale)[10] = nullptr) {
+  const double lg2w = std::log(2.0 / omega);
+  const double lgs2pi = std::log(stats::kSqrt2Pi);
+  double s[10] = {}, a_s[10] = {};
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (!(w[i] > 0.0)) continue;
+    const double z = (x[i] - xi) / omega;
+    const double u = alpha * z;
+    const double lc = stats::normal_log_cdf(u);
+    const double zeta1 = std::exp((-0.5 * u * u - lgs2pi) - lc);
+    const double zeta2 = -zeta1 * (u + zeta1);
+    const double a = alpha * zeta1;
+    const double b = alpha * alpha * zeta2;
+    const double z2 = z * z;
+    const double t[10] = {lg2w - 0.5 * z * z - lgs2pi + lc,
+                          z - a,
+                          z2 - 1.0 - z * a,
+                          z * zeta1,
+                          b - 1.0,
+                          (a - 2.0 * z) + z * b,
+                          -zeta1 - alpha * z * zeta2,
+                          ((1.0 - 3.0 * z2) + 2.0 * z * a) + z2 * b,
+                          -(z * zeta1) - alpha * z2 * zeta2,
+                          z2 * zeta2};
+    for (int k = 0; k < 10; ++k) {
+      s[k] += w[i] * t[k];
+      a_s[k] += std::fabs(w[i] * t[k]);
+    }
+  }
+  const double o2 = omega * omega;
+  const double div[10] = {1.0, omega, omega, 1.0, o2, o2, omega, o2, omega,
+                          1.0};
+  if (scale != nullptr) {
+    for (int k = 0; k < 10; ++k) (*scale)[k] = a_s[k] / div[k];
+  }
+  simd::SnScore r;
+  r.nll = -s[0];
+  for (int k = 0; k < 3; ++k) r.score[k] = s[1 + k] / div[1 + k];
+  for (int k = 0; k < 6; ++k) r.hessian[k] = s[4 + k] / div[4 + k];
+  return r;
+}
+
+// The ten outputs of one fused pass, in kernel order.
+std::vector<double> flat(const simd::SnScore& s) {
+  std::vector<double> v = {s.nll};
+  v.insert(v.end(), s.score, s.score + 3);
+  v.insert(v.end(), s.hessian, s.hessian + 6);
+  return v;
+}
+
+// Shape sweep of the M-step kernel: bin-center-like points spanning
+// +-6 omega around xi, with zero, negative and varying weights.
+struct SnScoreCase {
+  double xi, omega, alpha;
+  std::vector<double> x, w;
+};
+
+std::vector<SnScoreCase> sn_score_cases() {
+  std::vector<SnScoreCase> cases;
+  for (const double alpha : {0.0, 2.0, -2.0, 8.0, -8.0, 30.0, -30.0}) {
+    SnScoreCase c{0.05, 0.01, alpha, {}, {}};
+    for (int i = 0; i < 1237; ++i) {
+      c.x.push_back(c.xi + c.omega * (-6.0 + 12.0 * i / 1236.0));
+      c.w.push_back((i % 7 == 0)    ? 0.0
+                    : (i % 11 == 0) ? -0.25
+                                    : 1e-3 * (1 + i % 13));
+    }
+    cases.push_back(std::move(c));
+  }
+  return cases;
+}
+
+TEST(SimdScalarTier, SnNllScoreBitwiseVsReferenceLoop) {
+  const TierGuard guard(simd::Tier::kScalar);
+  for (const SnScoreCase& c : sn_score_cases()) {
+    const std::vector<double> got =
+        flat(simd::sn_weighted_nll_score(c.xi, c.omega, c.alpha, c.x, c.w));
+    const std::vector<double> want =
+        flat(sn_score_reference(c.xi, c.omega, c.alpha, c.x, c.w));
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(ulp_diff(got[k], want[k]), 0u)
+          << "alpha=" << c.alpha << " output " << k;
+    }
+  }
+}
+
+// Score and Hessian against central differences of the kernel's own
+// NLL and score (scalar tier), across the shapes EM meets.
+TEST(SimdScalarTier, SnNllScoreMatchesFiniteDifferences) {
+  const TierGuard guard(simd::Tier::kScalar);
+  for (const SnScoreCase& c : sn_score_cases()) {
+    // Evaluate off the data's own center so no derivative is ~0.
+    const double theta[3] = {c.xi + 0.3 * c.omega, 1.2 * c.omega,
+                             0.9 * c.alpha + 0.1};
+    const double h[3] = {1e-5 * theta[1], 1e-5 * theta[1],
+                         1e-5 * std::max(std::fabs(theta[2]), 1.0)};
+    const auto at = [&](int j, double sign) {
+      double p[3] = {theta[0], theta[1], theta[2]};
+      p[j] += sign * h[j];
+      return simd::sn_weighted_nll_score(p[0], p[1], p[2], c.x, c.w);
+    };
+    const simd::SnScore s =
+        simd::sn_weighted_nll_score(theta[0], theta[1], theta[2], c.x, c.w);
+    // Packed Hessian index of (j, k).
+    const int idx[3][3] = {{0, 1, 2}, {1, 3, 4}, {2, 4, 5}};
+    for (int j = 0; j < 3; ++j) {
+      const simd::SnScore up = at(j, 1.0), dn = at(j, -1.0);
+      const double fd_score = -(up.nll - dn.nll) / (2.0 * h[j]);
+      EXPECT_NEAR(s.score[j], fd_score,
+                  1e-6 * std::max(std::fabs(fd_score), 1.0))
+          << "alpha=" << c.alpha << " score " << j;
+      for (int k = 0; k < 3; ++k) {
+        const double fd_h = (up.score[k] - dn.score[k]) / (2.0 * h[j]);
+        const double hk = s.hessian[idx[j][k]];
+        EXPECT_NEAR(hk, fd_h, 1e-5 * std::max(std::fabs(fd_h), 1.0))
+            << "alpha=" << c.alpha << " hessian " << j << "," << k;
+      }
+    }
+  }
 }
 
 // ---- SIMD tiers: documented ULP bounds vs the scalar tier ----------
@@ -489,15 +612,46 @@ TEST(SimdVectorTiers, SnWeightedNllCloseToScalar) {
   double want;
   {
     const TierGuard guard(simd::Tier::kScalar);
-    want = simd::sn_weighted_nll(xi, omega, alpha, x, w);
+    want = simd::sn_weighted_nll_score(xi, omega, alpha, x, w).nll;
   }
   for (simd::Tier tier : vector_tiers()) {
     const TierGuard guard(tier);
-    const double got = simd::sn_weighted_nll(xi, omega, alpha, x, w);
+    const double got = simd::sn_weighted_nll_score(xi, omega, alpha, x, w).nll;
     // Different reduction tree (per-lane accumulators), so only a
     // relative bound is meaningful.
     EXPECT_NEAR(got, want, 1e-9 * std::fabs(want))
         << simd::tier_name(tier);
+  }
+}
+
+// Vector-tier bound of the fused M-step kernel: every output within
+// kSnScoreRelBound of sum w |term| (the sum's own conditioning —
+// near the optimum a score sum cancels to ~0, so a plain relative or
+// ULP bound would be meaningless). Worst measured 8.2e-13 (the
+// alpha-alpha Hessian entry at alpha = 8, where zeta2 = -zeta1 (u +
+// zeta1) cancels), on SSE2 and AVX2 alike.
+constexpr double kSnScoreRelBound = 2e-12;
+
+TEST(SimdVectorTiers, SnNllScoreWithinBounds) {
+  for (const SnScoreCase& c : sn_score_cases()) {
+    double scale[10];
+    sn_score_reference(c.xi, c.omega, c.alpha, c.x, c.w, &scale);
+    std::vector<double> want;
+    {
+      const TierGuard guard(simd::Tier::kScalar);
+      want = flat(
+          simd::sn_weighted_nll_score(c.xi, c.omega, c.alpha, c.x, c.w));
+    }
+    for (simd::Tier tier : vector_tiers()) {
+      const TierGuard guard(tier);
+      const std::vector<double> got = flat(
+          simd::sn_weighted_nll_score(c.xi, c.omega, c.alpha, c.x, c.w));
+      for (std::size_t k = 0; k < got.size(); ++k) {
+        EXPECT_NEAR(got[k], want[k], kSnScoreRelBound * scale[k])
+            << simd::tier_name(tier) << " alpha=" << c.alpha << " output "
+            << k;
+      }
+    }
   }
 }
 
@@ -524,6 +678,63 @@ TEST(SimdStructural, RemainderSizesCoverEveryElement) {
                      out[i], stats::normal_cdf(x[i]), Bound{6, 0.0}, x[i]);
       }
       EXPECT_EQ(out[n], 777.0) << simd::tier_name(tier) << " n=" << n;
+    }
+  }
+}
+
+TEST(SimdStructural, SnNllScoreRemainderSizes) {
+  // n = 0..9 through the fused kernel: spans over the first n points
+  // of n + 1, the last a NaN with positive weight — reading one past
+  // the span would turn every output NaN.
+  for (simd::Tier tier : reachable_tiers()) {
+    const TierGuard guard(tier);
+    for (std::size_t n = 0; n <= 9; ++n) {
+      std::vector<double> x(n + 1, kNan), w(n + 1, 1.0);
+      for (std::size_t i = 0; i < n; ++i) {
+        x[i] = 0.05 + 0.004 * (static_cast<double>(i) - 4.0);
+        w[i] = 0.5 + 0.1 * static_cast<double>(i);
+      }
+      const std::span<const double> xs(x.data(), n), ws(w.data(), n);
+      const std::vector<double> got =
+          flat(simd::sn_weighted_nll_score(0.05, 0.01, 2.0, xs, ws));
+      double scale[10];
+      const std::vector<double> want = flat(sn_score_reference(
+          0.05, 0.01, 2.0, std::vector<double>(xs.begin(), xs.end()),
+          std::vector<double>(ws.begin(), ws.end()), &scale));
+      for (std::size_t k = 0; k < got.size(); ++k) {
+        EXPECT_NEAR(got[k], want[k], kSnScoreRelBound * scale[k])
+            << simd::tier_name(tier) << " n=" << n << " output " << k;
+      }
+    }
+  }
+}
+
+TEST(SimdStructural, SnNllScoreIsolatesZeroWeightAndNanLanes) {
+  // NaN/inf points with zero weight, and NaN or negative weights, add
+  // nothing: the result is bitwise that of the same layout with those
+  // points replaced by finite ones (same positions, so the same lane
+  // assignment on every tier).
+  for (simd::Tier tier : reachable_tiers()) {
+    const TierGuard guard(tier);
+    std::vector<double> x, w, clean_x;
+    for (int i = 0; i < 37; ++i) {
+      const double xi = 0.05 + 0.001 * (i - 18);
+      const bool poison = (i % 5 == 1);
+      x.push_back(poison ? ((i % 2) ? kNan : kInf) : xi);
+      clean_x.push_back(xi);
+      w.push_back(poison ? 0.0 : (i % 9 == 4) ? kNan
+                                 : (i % 9 == 7) ? -1.0
+                                                : 1.0 + 0.01 * i);
+    }
+    const std::vector<double> got =
+        flat(simd::sn_weighted_nll_score(0.05, 0.01, -3.0, x, w));
+    const std::vector<double> want =
+        flat(simd::sn_weighted_nll_score(0.05, 0.01, -3.0, clean_x, w));
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      EXPECT_TRUE(std::isfinite(got[k]))
+          << simd::tier_name(tier) << " output " << k;
+      EXPECT_EQ(ulp_diff(got[k], want[k]), 0u)
+          << simd::tier_name(tier) << " output " << k;
     }
   }
 }

@@ -3,13 +3,16 @@
 // g (paper Eq. 2), sampling, and the weighted MLE used by the LVF^2
 // M-step.
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "simd/simd.h"
 #include "stats/descriptive.h"
+#include "stats/optimize.h"
 #include "stats/skew_normal.h"
 #include "stats/special_functions.h"
 
@@ -219,6 +222,102 @@ TEST(SkewNormal, WeightedMleRespectsWeights) {
   ASSERT_TRUE(fit.has_value());
   EXPECT_NEAR(fit->mean(), 0.0, 0.1);
   EXPECT_NEAR(fit->stddev(), 1.0, 0.1);
+}
+
+// ---- Newton M-step ---------------------------------------------------
+
+// 20000 draws of SN(0.1, 0.01, alpha) in 512 bins, as EM sees them.
+struct BinnedSn {
+  std::vector<double> x, w;
+};
+
+BinnedSn binned_sn(double alpha, std::uint64_t salt) {
+  const SkewNormal truth(0.1, 0.01, alpha);
+  Rng rng(test::test_seed(salt));
+  std::vector<double> xs(20000);
+  for (auto& x : xs) x = truth.sample(rng);
+  const BinnedSamples b = bin_samples(xs, 512);
+  BinnedSn out;
+  for (std::size_t i = 0; i < b.centers.size(); ++i) {
+    if (b.counts[i] > 0.0) {
+      out.x.push_back(b.centers[i]);
+      out.w.push_back(b.counts[i]);
+    }
+  }
+  return out;
+}
+
+double weighted_nll(const SkewNormal& sn, const BinnedSn& d) {
+  return simd::sn_weighted_nll_score(sn.xi(), sn.omega(), sn.alpha(), d.x,
+                                     d.w)
+      .nll;
+}
+
+constexpr double kShapes[] = {0.0, 2.0, -2.0, 8.0, -8.0, 30.0, -30.0};
+
+// An EM M-step (warm start, responsibility-like weights, the default
+// 10-iteration cap) and a single Newton iteration both never raise the
+// weighted NLL above the start's, on every tier, from near and far
+// starts.
+TEST(SkewNormalMle, NewtonStepNeverLowersWeightedLogLikelihood) {
+  for (const simd::Tier tier :
+       {simd::Tier::kScalar, simd::Tier::kSse2, simd::Tier::kAvx2}) {
+    if (!simd::tier_available(tier)) continue;
+    const test::TierGuard scope(tier);
+    std::uint64_t salt = 0x4E57;
+    for (const double alpha : kShapes) {
+      BinnedSn d = binned_sn(alpha, ++salt);
+      Rng rng(test::test_seed(salt));
+      for (double& w : d.w) w *= rng.uniform();
+      for (int s = 0; s < 6; ++s) {
+        const SkewNormal start(0.1 + rng.normal(0.0, 0.01),
+                               0.01 * std::exp(rng.normal(0.0, 0.5)),
+                               alpha + rng.normal(0.0, 3.0));
+        const double before = weighted_nll(start, d);
+        for (const std::size_t cap : {std::size_t{1}, std::size_t{10}}) {
+          MleReport rep;
+          const auto fit = SkewNormal::fit_weighted_mle(d.x, d.w, &start, cap,
+                                                        &rep);
+          ASSERT_TRUE(fit.has_value());
+          EXPECT_LE(weighted_nll(*fit, d), before)
+              << simd::tier_name(tier) << " alpha=" << alpha << " start "
+              << s << " cap " << cap;
+          EXPECT_LE(rep.iterations, cap);
+          EXPECT_GE(rep.evaluations, 1u);
+        }
+      }
+    }
+  }
+}
+
+// The Newton fit reaches the optimum of a 5000-evaluation Nelder-Mead
+// reference on (xi, log omega, alpha) to 1e-7 relative
+// log-likelihood, both from the method of moments.
+TEST(SkewNormalMle, ReachesNelderMeadOptimum) {
+  std::uint64_t salt = 0x4E4D;
+  for (const double alpha : kShapes) {
+    const BinnedSn d = binned_sn(alpha, ++salt);
+    const auto start = SkewNormal::fit_moments(d.x, d.w);
+    ASSERT_TRUE(start.has_value());
+    NelderMeadOptions nm;
+    nm.max_evaluations = 5000;
+    nm.initial_step = 0.25;
+    const double x0[3] = {start->xi(), std::log(start->omega()),
+                          start->alpha()};
+    const MinimizeResult ref = nelder_mead(
+        [&](std::span<const double> p) {
+          return simd::sn_weighted_nll_score(p[0], std::exp(p[1]), p[2],
+                                             d.x, d.w)
+              .nll;
+        },
+        x0, nm);
+    MleReport rep;
+    const auto fit = SkewNormal::fit_weighted_mle(d.x, d.w, nullptr, 100,
+                                                  &rep);
+    ASSERT_TRUE(fit.has_value());
+    EXPECT_LE(weighted_nll(*fit, d), ref.value + 1e-7 * std::fabs(ref.value))
+        << "alpha=" << alpha << " (" << rep.iterations << " iterations)";
+  }
 }
 
 TEST(SkewNormal, DeltaBetweenMinusOneAndOne) {

@@ -1,5 +1,7 @@
 #pragma once
-// Shared test seeding. Every ad-hoc rng seed in the suite routes
+// Shared test helpers: seeding and SIMD tier selection.
+//
+// Seeding. Every ad-hoc rng seed in the suite routes
 // through test_seed() so one environment variable re-runs the whole
 // suite on a different — still deterministic — stream:
 //
@@ -13,6 +15,7 @@
 #include <cstdint>
 #include <cstdlib>
 
+#include "simd/simd.h"
 #include "stats/rng.h"
 
 namespace lvf2::test {
@@ -28,5 +31,16 @@ inline std::uint64_t test_seed(std::uint64_t default_seed) {
   }
   return default_seed;
 }
+
+/// Forces a dispatch tier for one scope and restores the previous one.
+class TierGuard {
+ public:
+  explicit TierGuard(simd::Tier tier)
+      : prev_(simd::set_tier_for_testing(tier)) {}
+  ~TierGuard() { simd::set_tier_for_testing(prev_); }
+
+ private:
+  simd::Tier prev_;
+};
 
 }  // namespace lvf2::test
