@@ -151,7 +151,8 @@ class PerfRecord {
       std::fprintf(f, "%s\"%s\":%.9g", (i > 0) ? "," : "",
                    metrics_[i].first.c_str(), metrics_[i].second);
     }
-    const std::string registry = obs::MetricsRegistry::instance().to_json();
+    const std::string registry =
+        obs::json_write(obs::MetricsRegistry::instance().to_json());
     std::fprintf(f, "},\"registry\":%s}\n", registry.c_str());
     std::fclose(f);
   }

@@ -5,7 +5,8 @@
 # a real pipeline run, then the QoR regression gate: a fixed-seed
 # manifest run diffed arc-by-arc against scripts/golden/
 # qor_manifest.json with lvf2_report, plus a 4-bit adder path run
-# diffed against scripts/golden/path_manifest.json.
+# diffed against scripts/golden/path_manifest.json; the canonical form
+# of both scalar runs must also match its golden byte for byte.
 #
 # Tier-1.5 (--sanitize): the same gate rebuilt under ASan + UBSan in
 # its own build directory, plus an everything-armed fault-injection
@@ -767,6 +768,14 @@ elif [ -f "$GOLDEN" ]; then
     || { echo "FAIL: the scalar tier no longer reproduces $GOLDEN" \
               "bitwise (rerun with --update-golden only if the scalar" \
               "numerics changed intentionally)"; exit 1; }
+  # Same numbers is not enough: the canonical text must match the
+  # goldens byte for byte, so a change in how a manifest renders (key
+  # order, number format) fails here too.
+  for pair in "manifest_scalar.json:$GOLDEN" "path_scalar.json:$PATH_GOLDEN"; do
+    "$REPORT" canon "$SMOKE_DIR/${pair%%:*}" | cmp -s - "${pair#*:}" \
+      || { echo "FAIL: canonical ${pair%%:*} differs from ${pair#*:}" \
+                "byte for byte"; exit 1; }
+  done
   "$REPORT" diff "$GOLDEN" "$SMOKE_DIR/manifest.json" \
       --rtol 0.35 --atol 1e-6 \
     || { echo "FAIL: vector-tier QoR drifted vs $GOLDEN beyond the" \

@@ -136,23 +136,23 @@ void count_corrupt(std::uint64_t n = 1) {
   obs::counter("cache.evict").add(n);
 }
 
-// Renders the manifest "cache" section from the live counters + the
-// armed singleton's load state. Registered as a manifest section
-// provider while the cache is armed.
-std::string render_manifest_section() {
+// The manifest "cache" section from the live counters + the armed
+// singleton's load state. Registered as a manifest section provider
+// while the cache is armed.
+obs::JsonValue manifest_section() {
   ResultCache& c = ResultCache::instance();
-  std::string out = "{\"dir\":";
-  obs::json_append_string(out, c.dir());
-  out += ",\"mode\":";
-  obs::json_append_string(out, to_string(c.mode()));
-  out += ",\"hit\":" + std::to_string(obs::counter("cache.hit").value());
-  out += ",\"miss\":" + std::to_string(obs::counter("cache.miss").value());
-  out += ",\"store\":" + std::to_string(obs::counter("cache.store").value());
-  out += ",\"evict\":" + std::to_string(obs::counter("cache.evict").value());
-  out += ",\"loaded\":" + std::to_string(c.loaded_entries());
-  out += ",\"entries\":" + std::to_string(c.size());
-  out += '}';
-  return out;
+  const auto count = [](const char* name) {
+    return obs::json_u64(obs::counter(name).value());
+  };
+  return obs::json_object(
+      {{"dir", obs::json_string(c.dir())},
+       {"mode", obs::json_string(to_string(c.mode()))},
+       {"hit", count("cache.hit")},
+       {"miss", count("cache.miss")},
+       {"store", count("cache.store")},
+       {"evict", count("cache.evict")},
+       {"loaded", obs::json_u64(c.loaded_entries())},
+       {"entries", obs::json_u64(c.size())}});
 }
 
 }  // namespace
@@ -262,7 +262,7 @@ void ResultCache::arm(const std::string& dir, Mode mode) {
   if (this == &instance()) {
     detail::g_cache_enabled.store(true, std::memory_order_relaxed);
     obs::ManifestRecorder::instance().set_section_provider(
-        "cache", render_manifest_section);
+        "cache", manifest_section);
   }
   obs::log_info("cache.armed", {{"dir", dir},
                                 {"mode", to_string(mode)},

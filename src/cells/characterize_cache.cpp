@@ -65,22 +65,6 @@ void feed_fit(cache::KeyHasher& h, const core::FitOptions& f) {
 // number is a double here and loses bits above 2^53.
 JsonValue ju64(std::uint64_t v) { return json_string(std::to_string(v)); }
 
-JsonValue moments_to_json(const stats::SnMoments& m) {
-  JsonValue j = json_object();
-  j.object.emplace_back("mean", json_number(m.mean));
-  j.object.emplace_back("stddev", json_number(m.stddev));
-  j.object.emplace_back("skewness", json_number(m.skewness));
-  return j;
-}
-
-JsonValue lvf2_params_to_json(const core::Lvf2Parameters& p) {
-  JsonValue j = json_object();
-  j.object.emplace_back("lambda", json_number(p.lambda));
-  j.object.emplace_back("theta1", moments_to_json(p.theta1));
-  j.object.emplace_back("theta2", moments_to_json(p.theta2));
-  return j;
-}
-
 JsonValue em_report_to_json(const core::EmReport& r) {
   JsonValue j = json_object();
   j.object.emplace_back("iterations",
@@ -211,6 +195,18 @@ bool read_fit(const JsonValue& obj, std::string_view key,
 }
 
 }  // namespace
+
+JsonValue moments_to_json(const stats::SnMoments& m) {
+  return json_object({{"mean", json_number(m.mean)},
+                      {"stddev", json_number(m.stddev)},
+                      {"skewness", json_number(m.skewness)}});
+}
+
+JsonValue lvf2_params_to_json(const core::Lvf2Parameters& p) {
+  return json_object({{"lambda", json_number(p.lambda)},
+                      {"theta1", moments_to_json(p.theta1)},
+                      {"theta2", moments_to_json(p.theta2)}});
+}
 
 std::uint64_t entry_cache_key(const spice::ProcessCorner& corner,
                               const CharacterizeOptions& options,

@@ -58,6 +58,12 @@ struct CachedEntryInputs {
   spice::ProcessCorner corner;
 };
 
+/// Codecs of the fitted distributions, shared by the cache entries and
+/// the serve replies: {"mean","stddev","skewness"} and
+/// {"lambda","theta1","theta2"}.
+obs::JsonValue moments_to_json(const stats::SnMoments& m);
+obs::JsonValue lvf2_params_to_json(const core::Lvf2Parameters& p);
+
 /// Serializes one characterized entry for the cache: {"salt", "inputs",
 /// "result"} plus an optional "qor" manifest row captured when a
 /// manifest was armed during the populating run. Serialize the

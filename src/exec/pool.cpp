@@ -64,36 +64,32 @@ struct ExecStatsRegistry {
   }
 };
 
-/// Rendered `exec` manifest section: process-lifetime job counters
-/// plus the per-slot utilization table when telemetry recorded work.
-std::string exec_section_json() {
-  std::string out = "{\"workers\":";
-  out += std::to_string(thread_count());
-  out += ",\"jobs\":";
-  out += std::to_string(obs::counter("exec.pool.jobs").value());
-  out += ",\"indices\":";
-  out += std::to_string(obs::counter("exec.pool.indices").value());
-  out += ",\"chunks\":";
-  out += std::to_string(obs::counter("exec.pool.chunks").value());
-  out += ",\"job_wall_s\":";
-  obs::json_append_number(
-      out, obs::double_counter("exec.pool.job_wall_s").value());
-  out += ",\"telemetry\":";
-  out += telemetry_enabled() ? "true" : "false";
-  out += ",\"per_worker\":[";
+/// The `exec` manifest section: process-lifetime job counters plus
+/// the per-slot utilization table when telemetry recorded work.
+obs::JsonValue exec_section() {
+  using obs::json_number;
+  const auto count = [](const char* name) {
+    return obs::json_u64(obs::counter(name).value());
+  };
+  obs::JsonValue per_worker = obs::json_array();
   const std::vector<WorkerTelemetry> slots = telemetry_snapshot();
   for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (i > 0) out += ',';
-    out += "{\"slot\":";
-    out += (i == 0) ? std::string("\"caller\"") : std::to_string(i);
-    out += ",\"chunks\":" + std::to_string(slots[i].chunks);
-    out += ",\"indices\":" + std::to_string(slots[i].indices);
-    out += ",\"busy_ms\":";
-    obs::json_append_number(out, slots[i].busy_us * 1e-3);
-    out += '}';
+    per_worker.array.push_back(obs::json_object(
+        {{"slot", i == 0 ? obs::json_string("caller")
+                         : json_number(static_cast<double>(i))},
+         {"chunks", obs::json_u64(slots[i].chunks)},
+         {"indices", obs::json_u64(slots[i].indices)},
+         {"busy_ms", json_number(slots[i].busy_us * 1e-3)}}));
   }
-  out += "]}";
-  return out;
+  return obs::json_object(
+      {{"workers", json_number(static_cast<double>(thread_count()))},
+       {"jobs", count("exec.pool.jobs")},
+       {"indices", count("exec.pool.indices")},
+       {"chunks", count("exec.pool.chunks")},
+       {"job_wall_s",
+        json_number(obs::double_counter("exec.pool.job_wall_s").value())},
+       {"telemetry", obs::json_bool(telemetry_enabled())},
+       {"per_worker", std::move(per_worker)}});
 }
 
 // Reads LVF2_EXEC_TELEMETRY and registers the manifest `exec` section
@@ -104,7 +100,7 @@ struct ExecTelemetryEnvInit {
       if (v[0] != '\0' && v[0] != '0') set_telemetry(true);
     }
     obs::ManifestRecorder::instance().set_section_provider(
-        "exec", [] { return exec_section_json(); });
+        "exec", exec_section);
   }
 } g_exec_telemetry_env_init;
 

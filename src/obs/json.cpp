@@ -4,8 +4,14 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 namespace lvf2::obs {
+
+namespace {
+// 2^53: every integer below it is exact as a double.
+constexpr std::uint64_t kExactIntegerLimit = std::uint64_t{1} << 53;
+}  // namespace
 
 const JsonValue* JsonValue::find(std::string_view key) const {
   for (const auto& [k, v] : object) {
@@ -31,6 +37,11 @@ JsonValue json_number(double v) {
   j.type = JsonValue::Type::kNumber;
   j.number = v;
   return j;
+}
+
+JsonValue json_u64(std::uint64_t v) {
+  return v < kExactIntegerLimit ? json_number(static_cast<double>(v))
+                                : json_string(std::to_string(v));
 }
 
 JsonValue json_string(std::string s) {
@@ -314,9 +325,19 @@ void json_write(const JsonValue& value, std::string& out,
     case JsonValue::Type::kBool:
       out += value.boolean ? "true" : "false";
       break;
-    case JsonValue::Type::kNumber:
-      json_append_number(out, value.number, options.double_precision);
+    case JsonValue::Type::kNumber: {
+      const double v = value.number;
+      if (std::isfinite(v) && v == std::trunc(v) &&
+          std::fabs(v) < static_cast<double>(kExactIntegerLimit)) {
+        // %.0f keeps the sign of -0, as %g does.
+        char buf[24];
+        std::snprintf(buf, sizeof(buf), "%.0f", v);
+        out += buf;
+      } else {
+        json_append_number(out, v, options.double_precision);
+      }
       break;
+    }
     case JsonValue::Type::kString:
       json_append_string(out, value.string);
       break;

@@ -7,7 +7,8 @@
 //
 // The parser is strict (no comments, no trailing commas); numbers are
 // stored as double, which is exact for every value the sinks emit
-// (%.9g renderings and counters below 2^53).
+// (%.9g renderings and counters below 2^53). An unsigned 64-bit value
+// that a double cannot hold goes in as a decimal string (json_u64).
 
 #include <cstdint>
 #include <initializer_list>
@@ -46,6 +47,8 @@ class JsonValue {
 
 /// Value constructors for documents built in code.
 JsonValue json_number(double v);
+/// A JSON number below 2^53, else the exact decimal string.
+JsonValue json_u64(std::uint64_t v);
 JsonValue json_string(std::string s);
 JsonValue json_bool(bool b);
 JsonValue json_array();
@@ -77,7 +80,9 @@ struct JsonWriteOptions {
 };
 
 /// Serializes `value` (compact, no whitespace), preserving object key
-/// order. Numbers render as %.9g, matching the sink writers.
+/// order. An integral number below 2^53 in magnitude renders as a
+/// plain integer (counters stay exact); any other number renders at
+/// `double_precision` digits (%.9g by default).
 void json_write(const JsonValue& value, std::string& out);
 std::string json_write(const JsonValue& value);
 void json_write(const JsonValue& value, std::string& out,

@@ -29,64 +29,31 @@ struct ManifestEnvInit {
   }
 } g_manifest_env_init;
 
-void append_model_qor(std::string& out, const ModelQor& m) {
-  json_append_string(out, m.model);
-  out += ":{\"binning\":";
-  json_append_number(out, m.binning);
-  out += ",\"yield_3sigma\":";
-  json_append_number(out, m.yield_3sigma);
-  out += ",\"cdf_rmse\":";
-  json_append_number(out, m.cdf_rmse);
-  out += ",\"x_binning\":";
-  json_append_number(out, m.x_binning);
-  out += ",\"x_yield_3sigma\":";
-  json_append_number(out, m.x_yield_3sigma);
-  out += ",\"x_cdf_rmse\":";
-  json_append_number(out, m.x_cdf_rmse);
-  out += '}';
-}
-
-void append_models(std::string& out, const std::vector<ModelQor>& models) {
-  out += "\"models\":{";
-  for (std::size_t i = 0; i < models.size(); ++i) {
-    if (i > 0) out += ',';
-    append_model_qor(out, models[i]);
+// The per-model QoR block shared by arc and endpoint rows.
+JsonValue models_to_json(const std::vector<ModelQor>& models) {
+  JsonValue out = json_object();
+  for (const ModelQor& m : models) {
+    out.object.emplace_back(
+        m.model, json_object({{"binning", json_number(m.binning)},
+                              {"yield_3sigma", json_number(m.yield_3sigma)},
+                              {"cdf_rmse", json_number(m.cdf_rmse)},
+                              {"x_binning", json_number(m.x_binning)},
+                              {"x_yield_3sigma", json_number(m.x_yield_3sigma)},
+                              {"x_cdf_rmse", json_number(m.x_cdf_rmse)}}));
   }
-  out += '}';
+  return out;
 }
 
-void append_arc(std::string& out, const ArcQor& a) {
-  out += "{\"table\":";
-  json_append_string(out, a.table);
-  out += ",\"cell\":";
-  json_append_string(out, a.cell);
-  out += ",\"arc\":";
-  json_append_string(out, a.arc);
-  out += ",\"metric\":";
-  json_append_string(out, a.metric);
-  out += ",\"load_idx\":";
-  json_append_number(out, a.load_idx);
-  out += ",\"slew_idx\":";
-  json_append_number(out, a.slew_idx);
-  out += ",\"status\":";
-  json_append_string(out, a.status);
-  out += ",\"golden\":{\"mean\":";
-  json_append_number(out, a.golden_mean);
-  out += ",\"stddev\":";
-  json_append_number(out, a.golden_stddev);
-  out += ",\"skewness\":";
-  json_append_number(out, a.golden_skewness);
-  out += "},\"em\":{\"iterations\":";
-  out += std::to_string(a.em_iterations);
-  out += ",\"log_likelihood\":";
-  json_append_number(out, a.em_log_likelihood);
-  out += ",\"converged\":";
-  out += a.em_converged ? "true" : "false";
-  out += ",\"degradation\":";
-  json_append_string(out, a.degradation);
-  out += "},";
-  append_models(out, a.models);
-  out += '}';
+JsonValue endpoint_qor_to_json(const EndpointQor& e) {
+  return json_object(
+      {{"path", json_string(e.path)},
+       {"depth", json_number(static_cast<double>(e.depth))},
+       {"golden", json_object({{"mean", json_number(e.golden_mean)},
+                               {"stddev", json_number(e.golden_stddev)},
+                               {"skewness", json_number(e.golden_skewness)},
+                               {"yield_3sigma",
+                                json_number(e.golden_yield_3sigma)}})},
+       {"models", models_to_json(e.models)}});
 }
 
 // Deterministic serialization order: rows arrive in completion order,
@@ -120,24 +87,6 @@ std::vector<const EndpointQor*> sorted_endpoints(
                             std::tie(y->path, y->depth);
                    });
   return out;
-}
-
-void append_endpoint(std::string& out, const EndpointQor& e) {
-  out += "{\"path\":";
-  json_append_string(out, e.path);
-  out += ",\"depth\":";
-  out += std::to_string(e.depth);
-  out += ",\"golden\":{\"mean\":";
-  json_append_number(out, e.golden_mean);
-  out += ",\"stddev\":";
-  json_append_number(out, e.golden_stddev);
-  out += ",\"skewness\":";
-  json_append_number(out, e.golden_skewness);
-  out += ",\"yield_3sigma\":";
-  json_append_number(out, e.golden_yield_3sigma);
-  out += "},";
-  append_models(out, e.models);
-  out += '}';
 }
 
 }  // namespace
@@ -219,37 +168,33 @@ void ManifestRecorder::discard() {
   endpoints_.clear();
 }
 
-void ManifestRecorder::set_config_rendered(std::string_view key,
-                                           std::string rendered) {
+void ManifestRecorder::set_config_value(std::string_view key,
+                                        JsonValue value) {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [k, v] : config_) {
     if (k == key) {
-      v = std::move(rendered);
+      v = std::move(value);
       return;
     }
   }
-  config_.emplace_back(std::string(key), std::move(rendered));
+  config_.emplace_back(std::string(key), std::move(value));
 }
 
 void ManifestRecorder::set_config(std::string_view key,
                                   std::string_view value) {
-  std::string rendered;
-  json_append_string(rendered, value);
-  set_config_rendered(key, std::move(rendered));
+  set_config_value(key, json_string(std::string(value)));
 }
 
 void ManifestRecorder::set_config(std::string_view key, double value) {
-  std::string rendered;
-  json_append_number(rendered, value);
-  set_config_rendered(key, std::move(rendered));
+  set_config_value(key, json_number(value));
 }
 
 void ManifestRecorder::set_config(std::string_view key, std::uint64_t value) {
-  set_config_rendered(key, std::to_string(value));
+  set_config_value(key, json_u64(value));
 }
 
 void ManifestRecorder::set_config(std::string_view key, bool value) {
-  set_config_rendered(key, value ? "true" : "false");
+  set_config_value(key, json_bool(value));
 }
 
 void ManifestRecorder::set_config_provider(
@@ -265,39 +210,26 @@ void ManifestRecorder::set_config_provider(
 }
 
 JsonValue arc_qor_to_json(const ArcQor& arc) {
-  JsonValue doc = json_object();
-  doc.object.emplace_back("table", json_string(arc.table));
-  doc.object.emplace_back("cell", json_string(arc.cell));
-  doc.object.emplace_back("arc", json_string(arc.arc));
-  doc.object.emplace_back("metric", json_string(arc.metric));
-  doc.object.emplace_back("load_idx", json_number(arc.load_idx));
-  doc.object.emplace_back("slew_idx", json_number(arc.slew_idx));
-  doc.object.emplace_back("status", json_string(arc.status));
-  JsonValue golden = json_object();
-  golden.object.emplace_back("mean", json_number(arc.golden_mean));
-  golden.object.emplace_back("stddev", json_number(arc.golden_stddev));
-  golden.object.emplace_back("skewness", json_number(arc.golden_skewness));
-  doc.object.emplace_back("golden", std::move(golden));
-  JsonValue em = json_object();
-  em.object.emplace_back("iterations",
-                         json_number(static_cast<double>(arc.em_iterations)));
-  em.object.emplace_back("log_likelihood", json_number(arc.em_log_likelihood));
-  em.object.emplace_back("converged", json_bool(arc.em_converged));
-  em.object.emplace_back("degradation", json_string(arc.degradation));
-  doc.object.emplace_back("em", std::move(em));
-  JsonValue models = json_object();
-  for (const ModelQor& m : arc.models) {
-    JsonValue row = json_object();
-    row.object.emplace_back("binning", json_number(m.binning));
-    row.object.emplace_back("yield_3sigma", json_number(m.yield_3sigma));
-    row.object.emplace_back("cdf_rmse", json_number(m.cdf_rmse));
-    row.object.emplace_back("x_binning", json_number(m.x_binning));
-    row.object.emplace_back("x_yield_3sigma", json_number(m.x_yield_3sigma));
-    row.object.emplace_back("x_cdf_rmse", json_number(m.x_cdf_rmse));
-    models.object.emplace_back(m.model, std::move(row));
-  }
-  doc.object.emplace_back("models", std::move(models));
-  return doc;
+  return json_object(
+      {{"table", json_string(arc.table)},
+       {"cell", json_string(arc.cell)},
+       {"arc", json_string(arc.arc)},
+       {"metric", json_string(arc.metric)},
+       {"load_idx", json_number(arc.load_idx)},
+       {"slew_idx", json_number(arc.slew_idx)},
+       {"status", json_string(arc.status)},
+       {"golden",
+        json_object({{"mean", json_number(arc.golden_mean)},
+                     {"stddev", json_number(arc.golden_stddev)},
+                     {"skewness", json_number(arc.golden_skewness)}})},
+       {"em",
+        json_object(
+            {{"iterations",
+              json_number(static_cast<double>(arc.em_iterations))},
+             {"log_likelihood", json_number(arc.em_log_likelihood)},
+             {"converged", json_bool(arc.em_converged)},
+             {"degradation", json_string(arc.degradation)}})},
+       {"models", models_to_json(arc.models)}});
 }
 
 std::optional<ArcQor> arc_qor_from_json(const JsonValue& doc) {
@@ -349,7 +281,7 @@ void ManifestRecorder::add_arc(ArcQor arc) {
 }
 
 void ManifestRecorder::set_section_provider(
-    std::string key, std::function<std::string()> provider) {
+    std::string key, std::function<JsonValue()> provider) {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [k, fn] : sections_) {
     if (k == key) {
@@ -374,105 +306,75 @@ std::string ManifestRecorder::to_json() const {
   // Snapshot the collaborators before taking our own lock (no nested
   // locking, no ordering constraints with the tracer / registry).
   const auto rollups = Tracer::instance().rollup();
-  const std::string metrics = MetricsRegistry::instance().to_json();
-
-  // Render provider sections outside the lock too: a provider may
-  // take its own subsystem lock (e.g. the result cache), and holding
-  // ours across that call would impose a lock order for no benefit.
-  std::vector<std::pair<std::string, std::function<std::string()>>> providers;
-  std::vector<std::pair<std::string, std::function<std::string()>>> config_fns;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    providers = sections_;
-    config_fns = config_providers_;
-  }
-  std::vector<std::pair<std::string, std::string>> sections;
-  sections.reserve(providers.size());
-  for (const auto& [key, fn] : providers) {
-    if (fn) sections.emplace_back(key, fn());
-  }
-  // Provided config entries render after the session's own set_config
-  // entries (a fixed position regardless of when during the session
-  // the provider was registered, so repeated runs stay byte-stable),
-  // and a plain set_config of the same key wins.
-  std::vector<std::pair<std::string, std::string>> provided;
-  provided.reserve(config_fns.size());
-  for (const auto& [key, fn] : config_fns) {
-    if (!fn) continue;
-    std::string rendered;
-    json_append_string(rendered, fn());
-    provided.emplace_back(key, std::move(rendered));
-  }
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::string out = "{\"schema_version\":";
-  out += std::to_string(kManifestSchemaVersion);
-  out += ",\"tool\":\"lvf2\",\"config\":{";
-  bool first_config = true;
-  for (const auto& [key, rendered] : config_) {
-    if (!first_config) out += ',';
-    first_config = false;
-    json_append_string(out, key);
-    out += ':';
-    out += rendered;
-  }
-  for (const auto& [key, rendered] : provided) {
-    bool overridden = false;
-    for (const auto& [k, v] : config_) {
-      if (k == key) {
-        overridden = true;
-        break;
-      }
-    }
-    if (overridden) continue;
-    if (!first_config) out += ',';
-    first_config = false;
-    json_append_string(out, key);
-    out += ':';
-    out += rendered;
-  }
-  out += "},\"stages\":{";
-  for (std::size_t i = 0; i < rollups.size(); ++i) {
-    if (i > 0) out += ',';
-    json_append_string(out, rollups[i].first);
-    out += ":{\"count\":";
-    out += std::to_string(rollups[i].second.count);
-    out += ",\"wall_ms\":";
-    json_append_number(out, rollups[i].second.wall_us * 1e-3);
-    out += ",\"cpu_ms\":";
-    json_append_number(out, rollups[i].second.cpu_us * 1e-3);
-    out += '}';
-  }
-  out += "},\"metrics\":";
-  out += metrics;
-  out += ",\"arcs\":[";
-  const std::vector<const ArcQor*> arcs = sorted_arcs(arcs_);
-  for (std::size_t i = 0; i < arcs.size(); ++i) {
-    if (i > 0) out += ',';
-    append_arc(out, *arcs[i]);
-  }
-  out += "],\"endpoints\":[";
-  const std::vector<const EndpointQor*> endpoints =
-      sorted_endpoints(endpoints_);
-  for (std::size_t i = 0; i < endpoints.size(); ++i) {
-    if (i > 0) out += ',';
-    append_endpoint(out, *endpoints[i]);
-  }
-  out += ']';
+  JsonValue metrics = MetricsRegistry::instance().to_json();
   // Always present (one getrusage call): every manifest records peak
   // RSS and CPU split even when no profiler or telemetry is armed.
-  // Like the provider sections below, it is nondeterministic and
-  // excluded from lvf2_report diff unless opted in via --sections.
-  out += ",\"resource\":";
-  out += resource_section_json();
-  for (const auto& [key, rendered] : sections) {
-    out += ',';
-    json_append_string(out, key);
-    out += ':';
-    out += rendered;
+  // Like the provider sections, it is nondeterministic and excluded
+  // from lvf2_report diff unless opted in via --sections.
+  JsonValue resource = resource_section();
+
+  // Evaluate providers outside the lock too: a provider may take its
+  // own subsystem lock (e.g. the result cache), and holding ours
+  // across that call would impose a lock order for no benefit.
+  decltype(sections_) section_fns;
+  decltype(config_providers_) config_fns;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    section_fns = sections_;
+    config_fns = config_providers_;
   }
-  out += '}';
-  return out;
+  std::vector<std::pair<std::string, JsonValue>> sections;
+  for (const auto& [key, fn] : section_fns) {
+    if (fn) sections.emplace_back(key, fn());
+  }
+  std::vector<std::pair<std::string, JsonValue>> provided;
+  for (const auto& [key, fn] : config_fns) {
+    if (fn) provided.emplace_back(key, json_string(fn()));
+  }
+
+  JsonValue stages = json_object();
+  for (const auto& [name, r] : rollups) {
+    stages.object.emplace_back(
+        name, json_object({{"count", json_number(static_cast<double>(r.count))},
+                           {"wall_ms", json_number(r.wall_us * 1e-3)},
+                           {"cpu_ms", json_number(r.cpu_us * 1e-3)}}));
+  }
+
+  JsonValue doc = json_object(
+      {{"schema_version", json_number(kManifestSchemaVersion)},
+       {"tool", json_string("lvf2")}});
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    JsonValue config = json_object();
+    config.object = config_;
+    // Provided config entries follow the session's own set_config
+    // entries (a fixed position regardless of when during the session
+    // the provider was registered, so repeated runs stay byte-stable),
+    // and a plain set_config of the same key wins.
+    for (auto& [key, value] : provided) {
+      if (config.find(key) == nullptr) {
+        config.object.emplace_back(std::move(key), std::move(value));
+      }
+    }
+    JsonValue arcs = json_array();
+    for (const ArcQor* a : sorted_arcs(arcs_)) {
+      arcs.array.push_back(arc_qor_to_json(*a));
+    }
+    JsonValue endpoints = json_array();
+    for (const EndpointQor* e : sorted_endpoints(endpoints_)) {
+      endpoints.array.push_back(endpoint_qor_to_json(*e));
+    }
+    doc.object.emplace_back("config", std::move(config));
+    doc.object.emplace_back("stages", std::move(stages));
+    doc.object.emplace_back("metrics", std::move(metrics));
+    doc.object.emplace_back("arcs", std::move(arcs));
+    doc.object.emplace_back("endpoints", std::move(endpoints));
+  }
+  doc.object.emplace_back("resource", std::move(resource));
+  for (auto& [key, section] : sections) {
+    doc.object.emplace_back(std::move(key), std::move(section));
+  }
+  return json_write(doc);
 }
 
 }  // namespace lvf2::obs

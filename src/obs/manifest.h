@@ -116,7 +116,8 @@ class ManifestRecorder {
   void discard();
 
   /// Run-configuration entries (last write wins, insertion order
-  /// preserved). Strings are escaped; numbers render as JSON numbers.
+  /// preserved). A uint64 value of 2^53 or more is stored as its exact
+  /// decimal string (a JSON number is a double).
   void set_config(std::string_view key, std::string_view value);
   /// Literal overload: without it, const char* would convert to bool
   /// (a standard conversion) in preference to string_view.
@@ -144,34 +145,34 @@ class ManifestRecorder {
   void add_arc(ArcQor arc);
   void add_endpoint(EndpointQor endpoint);
 
-  /// Registers a subsystem section rendered at to_json() time: the
+  /// Registers a subsystem section built at to_json() time: the
   /// manifest gains a top-level `"key": <provider()>` member after
-  /// the fixed schema keys. The provider returns rendered JSON and
-  /// must not call back into the recorder. Last registration per key
+  /// the fixed schema keys. The provider returns the section document
+  /// and must not call back into the recorder. Last registration per key
   /// wins; providers outlive start()/stop() cycles (their lifetime is
   /// the providing subsystem's, e.g. the result cache while armed).
   void set_section_provider(std::string key,
-                            std::function<std::string()> provider);
+                            std::function<JsonValue()> provider);
   void clear_section_provider(std::string_view key);
 
-  /// The full manifest document as JSON (config + tracer stage
-  /// rollups + metrics snapshot + QoR tables + provider sections).
+  /// The full manifest, built as one document (config + tracer stage
+  /// rollups + metrics snapshot + QoR tables + provider sections) and
+  /// rendered once.
   std::string to_json() const;
 
  private:
   ManifestRecorder() = default;
-  void set_config_rendered(std::string_view key, std::string rendered);
+  void set_config_value(std::string_view key, JsonValue value);
 
   mutable std::mutex mutex_;
   std::string path_;
   bool armed_ = false;
-  std::vector<std::pair<std::string, std::string>> config_;
+  std::vector<std::pair<std::string, JsonValue>> config_;
   std::vector<std::pair<std::string, std::function<std::string()>>>
       config_providers_;  // persist across start()/stop() cycles
   std::vector<ArcQor> arcs_;
   std::vector<EndpointQor> endpoints_;
-  std::vector<std::pair<std::string, std::function<std::string()>>>
-      sections_;
+  std::vector<std::pair<std::string, std::function<JsonValue()>>> sections_;
 };
 
 /// Runs `fn(ManifestRecorder&)` only when a manifest is armed; the
@@ -187,10 +188,10 @@ inline void with_manifest(F&& fn) {
 /// a one-line stderr warning) on failure. Shared by every JSON sink.
 bool write_file_atomic(const std::string& path, std::string_view content);
 
-/// JSON codec of one ArcQor row, used by the result cache to replay
-/// manifest rows on a warm run. The document mirrors the manifest's
-/// per-arc schema; serialize it at full precision (JsonWriteOptions
-/// {17}) so the replayed row renders byte-identical to the original.
+/// JSON codec of one ArcQor row: the manifest's `arcs` rows, and the
+/// result cache's stored copy that a warm run replays. The cache
+/// serializes it at full precision (JsonWriteOptions{17}) so the
+/// replayed row renders byte-identical to the original.
 JsonValue arc_qor_to_json(const ArcQor& arc);
 /// Inverse; nullopt when required members are missing or mistyped
 /// (a corrupted cache entry must degrade to recompute, not crash).

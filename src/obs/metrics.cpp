@@ -110,24 +110,17 @@ void for_each_series(const detail::Families<T>& families, Fn&& fn) {
   }
 }
 
-// `"section":{"key":value,...}` with value(out, instrument), leaving
-// out families whose name starts with a non-empty `skip`.
+// {"key":value(instrument),...} over every series, leaving out
+// families whose name starts with a non-empty `skip`.
 template <class T, class Fn>
-void json_section(std::string& out, const char* section,
-                  const detail::Families<T>& families, std::string_view skip,
-                  Fn&& value) {
-  json_append_string(out, section);
-  out += ":{";
-  bool first = true;
+JsonValue json_section(const detail::Families<T>& families,
+                       std::string_view skip, Fn&& value) {
+  JsonValue out = json_object();
   for_each_series(families, [&](const std::string& key, const T& instrument) {
     if (!skip.empty() && key.starts_with(skip)) return;
-    if (!first) out += ',';
-    first = false;
-    json_append_string(out, key);
-    out += ':';
-    value(out, instrument);
+    out.object.emplace_back(key, value(instrument));
   });
-  out += '}';
+  return out;
 }
 
 }  // namespace
@@ -162,67 +155,52 @@ Digest& MetricsRegistry::digest(std::string_view name, Labels labels,
   return find_or_add(find_or_add(digests_, name), body, compression);
 }
 
-std::string MetricsRegistry::to_json(std::string_view skip_prefix) const {
+JsonValue MetricsRegistry::to_json(std::string_view skip_prefix) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::string out = "{";
-  json_section(out, "counters", counters_, skip_prefix,
-               [](std::string& o, const Counter& c) {
-                 o += std::to_string(c.value());
-               });
-  out += ',';
-  json_section(out, "double_counters", double_counters_, skip_prefix,
-               [](std::string& o, const DoubleCounter& c) {
-                 json_append_number(o, c.value());
-               });
-  out += ',';
-  json_section(out, "gauges", gauges_, skip_prefix,
-               [](std::string& o, const Gauge& g) {
-                 json_append_number(o, g.value());
-               });
-  out += ',';
-  json_section(out, "histograms", histograms_, skip_prefix,
-               [](std::string& o, const Histogram& h) {
-                 o += "{\"bounds\":[";
-                 const auto& bounds = h.bounds();
-                 for (std::size_t i = 0; i < bounds.size(); ++i) {
-                   if (i > 0) o += ',';
-                   json_append_number(o, bounds[i]);
-                 }
-                 o += "],\"counts\":[";
-                 const auto counts = h.bucket_counts();
-                 for (std::size_t i = 0; i < counts.size(); ++i) {
-                   if (i > 0) o += ',';
-                   o += std::to_string(counts[i]);
-                 }
-                 o += "],\"count\":";
-                 o += std::to_string(h.count());
-                 o += ",\"sum\":";
-                 json_append_number(o, h.sum());
-                 o += '}';
-               });
-  out += ',';
-  const auto digest_json = [](std::string& o, const Digest& d) {
-    const TDigest snap = d.snapshot();
-    // Full centroid state (mergeable, 17-digit round-trippable) plus
-    // the headline quantiles so readers need not re-derive them.
-    o += json_write(snap.to_json(), JsonWriteOptions{17});
-    o.pop_back();  // reopen the digest object to append "q"
-    o += ",\"q\":{";
-    static constexpr std::pair<const char*, double> kQuantiles[] = {
-        {"p50", 0.50}, {"p90", 0.90}, {"p95", 0.95},
-        {"p99", 0.99}, {"p999", 0.999}};
-    bool first_q = true;
-    for (const auto& [label, q] : kQuantiles) {
-      if (!first_q) o += ',';
-      first_q = false;
-      json_append_string(o, label);
-      o += ':';
-      json_append_number(o, snap.count() > 0.0 ? snap.quantile(q) : 0.0);
-    }
-    o += "}}";
+  const auto number = [](const auto& instrument) {
+    return json_number(instrument.value());
   };
-  json_section(out, "digests", digests_, skip_prefix, digest_json);
-  out += '}';
+  JsonValue out = json_object();
+  out.object.emplace_back(
+      "counters", json_section(counters_, skip_prefix, [](const Counter& c) {
+        return json_u64(c.value());
+      }));
+  out.object.emplace_back("double_counters",
+                          json_section(double_counters_, skip_prefix, number));
+  out.object.emplace_back("gauges", json_section(gauges_, skip_prefix, number));
+  out.object.emplace_back(
+      "histograms",
+      json_section(histograms_, skip_prefix, [](const Histogram& h) {
+        JsonValue bounds = json_array();
+        for (const double b : h.bounds()) {
+          bounds.array.push_back(json_number(b));
+        }
+        JsonValue counts = json_array();
+        for (const std::uint64_t n : h.bucket_counts()) {
+          counts.array.push_back(json_u64(n));
+        }
+        return json_object({{"bounds", std::move(bounds)},
+                            {"counts", std::move(counts)},
+                            {"count", json_u64(h.count())},
+                            {"sum", json_number(h.sum())}});
+      }));
+  out.object.emplace_back(
+      "digests", json_section(digests_, skip_prefix, [](const Digest& d) {
+        const TDigest snap = d.snapshot();
+        // Full centroid state (mergeable) plus the headline quantiles
+        // so readers need not re-derive them.
+        JsonValue doc = snap.to_json();
+        static constexpr std::pair<const char*, double> kQuantiles[] = {
+            {"p50", 0.50}, {"p90", 0.90}, {"p95", 0.95},
+            {"p99", 0.99}, {"p999", 0.999}};
+        JsonValue q = json_object();
+        for (const auto& [label, p] : kQuantiles) {
+          q.object.emplace_back(
+              label, json_number(snap.count() > 0.0 ? snap.quantile(p) : 0.0));
+        }
+        doc.object.emplace_back("q", std::move(q));
+        return doc;
+      }));
   return out;
 }
 
@@ -345,7 +323,7 @@ std::string MetricsRegistry::to_prometheus(std::string_view prefix) const {
 void MetricsRegistry::write_json(const std::string& path) const {
   // Atomic (<path>.tmp + rename): a crashed run never leaves a
   // truncated metrics file.
-  write_file_atomic(path, to_json() + "\n");
+  write_file_atomic(path, json_write(to_json()) + "\n");
 }
 
 void MetricsRegistry::write_text(std::FILE* out) const {

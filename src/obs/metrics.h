@@ -28,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/json.h"
 #include "obs/tdigest.h"
 
 namespace lvf2::obs {
@@ -163,14 +164,16 @@ class MetricsRegistry {
   Digest& digest(std::string_view name, Labels labels = {},
                  double compression = 100.0);
 
-  /// Full registry state as a JSON object
+  /// Full registry state as a JSON document
   /// {"counters":{...},"gauges":{...},"histograms":{...},
-  ///  "digests":{...}} (each digest carries its serialized centroid
-  /// state plus a "q" block of p50/p90/p95/p99/p999 estimates). A
-  /// labelled series is keyed `name{k="v",...}`, an unlabelled one by
-  /// its bare name. Families whose name starts with a non-empty
-  /// `skip_prefix` are left out.
-  std::string to_json(std::string_view skip_prefix = {}) const;
+  ///  "digests":{...}} (each digest carries its centroid state plus a
+  /// "q" block of p50/p90/p95/p99/p999 estimates). A labelled series
+  /// is keyed `name{k="v",...}`, an unlabelled one by its bare name.
+  /// Families whose name starts with a non-empty `skip_prefix` are
+  /// left out. Every sink (the LVF2_METRICS dump, the manifest's
+  /// `metrics` member, the `metrics` op) embeds or renders this one
+  /// document.
+  JsonValue to_json(std::string_view skip_prefix = {}) const;
   /// Prometheus text exposition (version 0.0.4): counters as
   /// `<prefix><name>_total`, gauges plain, histograms as cumulative
   /// `_bucket{le=...}` + `_sum`/`_count`, digests as
@@ -179,8 +182,8 @@ class MetricsRegistry {
   /// family has one type line followed by all of its series; a
   /// digest's `quantile` label joins the series' own labels.
   std::string to_prometheus(std::string_view prefix = "lvf2_") const;
-  /// Writes to_json() to `path` (best-effort; logs to stderr on
-  /// failure).
+  /// Writes to_json(), rendered, to `path` (best-effort; logs to
+  /// stderr on failure).
   void write_json(const std::string& path) const;
   /// Human-readable summary, one instrument per line.
   void write_text(std::FILE* out) const;

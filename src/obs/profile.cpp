@@ -435,16 +435,16 @@ bool Profiler::start(const ProfileOptions& options) {
   g_running = true;
 
   with_manifest([&](ManifestRecorder& m) {
-    m.set_section_provider("profile", [] {
+    // Captures the options by value: the provider runs at exit, after
+    // g_options (a static) may already be destroyed.
+    m.set_section_provider("profile", [options] {
       const ProfileStats stats = Profiler::instance().stats();
-      std::string out = "{\"path\":";
-      json_append_string(out, g_options.path);
-      out += ",\"hz\":" + std::to_string(g_options.hz);
-      out += ",\"samples\":" + std::to_string(stats.samples);
-      out += ",\"dropped\":" + std::to_string(stats.dropped);
-      out += ",\"threads\":" + std::to_string(stats.threads);
-      out += '}';
-      return out;
+      return json_object(
+          {{"path", json_string(options.path)},
+           {"hz", json_number(options.hz)},
+           {"samples", json_u64(stats.samples)},
+           {"dropped", json_u64(stats.dropped)},
+           {"threads", json_u64(stats.threads)}});
     });
   });
   return true;

@@ -1,12 +1,9 @@
 #include "obs/resource.h"
 
 #include <cstdlib>
-#include <map>
-#include <mutex>
 #include <new>
-#include <vector>
 
-#include "obs/json.h"
+#include "obs/trace.h"
 
 #if __has_include(<sys/resource.h>) && !defined(_WIN32)
 #define LVF2_RUSAGE_SUPPORTED 1
@@ -39,18 +36,6 @@ std::atomic<std::uint64_t> g_alloc_bytes{0};
 thread_local std::uint64_t t_alloc_count = 0;
 thread_local std::uint64_t t_alloc_bytes = 0;
 
-struct StageAlloc {
-  std::uint64_t count = 0;
-  std::uint64_t bytes = 0;
-};
-std::mutex g_stage_mutex;
-// Pointer (leaked) so the rollup survives static destruction of this
-// TU: spans may still close while exit-time sinks serialize.
-std::map<std::string, StageAlloc, std::less<>>* stage_rollup() {
-  static auto* rollup = new std::map<std::string, StageAlloc, std::less<>>();
-  return rollup;
-}
-
 struct AllocStatsEnvInit {
   AllocStatsEnvInit() {
     if (const char* v = std::getenv("LVF2_ALLOC_STATS")) {
@@ -82,19 +67,6 @@ AllocSnapshot thread_alloc_totals() {
   return {t_alloc_count, t_alloc_bytes};
 }
 
-void record_stage_alloc(std::string_view stage, std::uint64_t count,
-                        std::uint64_t bytes) {
-  if (count == 0 && bytes == 0) return;
-  std::lock_guard<std::mutex> lock(g_stage_mutex);
-  auto* rollup = stage_rollup();
-  auto it = rollup->find(stage);
-  if (it == rollup->end()) {
-    it = rollup->try_emplace(std::string(stage)).first;
-  }
-  it->second.count += count;
-  it->second.bytes += bytes;
-}
-
 ResourceUsage resource_usage() {
   ResourceUsage usage;
 #if LVF2_RUSAGE_SUPPORTED
@@ -118,40 +90,28 @@ ResourceUsage resource_usage() {
   return usage;
 }
 
-std::string resource_section_json() {
+JsonValue resource_section() {
   const ResourceUsage usage = resource_usage();
-  std::string out = "{\"peak_rss_kb\":";
-  out += std::to_string(usage.peak_rss_kb);
-  out += ",\"utime_s\":";
-  json_append_number(out, usage.utime_s);
-  out += ",\"stime_s\":";
-  json_append_number(out, usage.stime_s);
-  out += ",\"minor_faults\":" + std::to_string(usage.minor_faults);
-  out += ",\"major_faults\":" + std::to_string(usage.major_faults);
-  out += ",\"voluntary_ctx_switches\":" +
-         std::to_string(usage.voluntary_ctx_switches);
-  out += ",\"involuntary_ctx_switches\":" +
-         std::to_string(usage.involuntary_ctx_switches);
-  out += ",\"alloc\":{\"enabled\":";
-  out += alloc_stats_enabled() ? "true" : "false";
   const AllocSnapshot totals = process_alloc_totals();
-  out += ",\"count\":" + std::to_string(totals.count);
-  out += ",\"bytes\":" + std::to_string(totals.bytes);
-  out += "},\"stages\":{";
-  {
-    std::lock_guard<std::mutex> lock(g_stage_mutex);
-    bool first = true;
-    for (const auto& [stage, alloc] : *stage_rollup()) {
-      if (!first) out += ',';
-      first = false;
-      json_append_string(out, stage);
-      out += ":{\"alloc_count\":" + std::to_string(alloc.count);
-      out += ",\"alloc_bytes\":" + std::to_string(alloc.bytes);
-      out += '}';
-    }
+  JsonValue stages = json_object();
+  for (const auto& [stage, r] : Tracer::instance().rollup()) {
+    if (r.alloc_count == 0 && r.alloc_bytes == 0) continue;
+    stages.object.emplace_back(
+        stage, json_object({{"alloc_count", json_u64(r.alloc_count)},
+                            {"alloc_bytes", json_u64(r.alloc_bytes)}}));
   }
-  out += "}}";
-  return out;
+  return json_object(
+      {{"peak_rss_kb", json_u64(usage.peak_rss_kb)},
+       {"utime_s", json_number(usage.utime_s)},
+       {"stime_s", json_number(usage.stime_s)},
+       {"minor_faults", json_u64(usage.minor_faults)},
+       {"major_faults", json_u64(usage.major_faults)},
+       {"voluntary_ctx_switches", json_u64(usage.voluntary_ctx_switches)},
+       {"involuntary_ctx_switches", json_u64(usage.involuntary_ctx_switches)},
+       {"alloc", json_object({{"enabled", json_bool(alloc_stats_enabled())},
+                              {"count", json_u64(totals.count)},
+                              {"bytes", json_u64(totals.bytes)}})},
+       {"stages", std::move(stages)}});
 }
 
 }  // namespace lvf2::obs

@@ -3,8 +3,9 @@
 // recorded into every run manifest as a `resource` section (one
 // syscall at serialization time — always on), plus optional
 // operator-new allocation counters (LVF2_ALLOC_STATS=1) that the
-// tracer rolls up per stage so allocation pressure is attributed to
-// characterize/EM/MC/SSTA the same way wall time is.
+// tracer's stage rollup accumulates per span name, so allocation
+// pressure is attributed to characterize/EM/MC/SSTA the same way wall
+// time is.
 //
 // Disabled-path contract: with LVF2_ALLOC_STATS unset every global
 // operator new pays one relaxed atomic load on top of malloc; the
@@ -12,8 +13,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
-#include <string_view>
+
+#include "obs/json.h"
 
 namespace lvf2::obs {
 
@@ -42,11 +43,6 @@ struct AllocSnapshot {
 AllocSnapshot process_alloc_totals();
 AllocSnapshot thread_alloc_totals();
 
-/// Accumulates one stage's allocation delta into the per-stage rollup
-/// (mutex-guarded map; call only when alloc_stats_enabled()).
-void record_stage_alloc(std::string_view stage, std::uint64_t count,
-                        std::uint64_t bytes);
-
 /// getrusage(RUSAGE_SELF) snapshot in portable units. peak_rss_kb is
 /// ru_maxrss normalized to kilobytes.
 struct ResourceUsage {
@@ -60,10 +56,11 @@ struct ResourceUsage {
 };
 ResourceUsage resource_usage();
 
-/// The manifest `resource` section, rendered: process rusage, the
-/// allocation totals (when accounting is on), and the per-stage
-/// allocation rollup. Called by ManifestRecorder::to_json() on every
-/// armed run — peak RSS lands in every manifest.
-std::string resource_section_json();
+/// The manifest `resource` section: process rusage, the allocation
+/// totals (when accounting is on), and the allocation columns of the
+/// tracer's stage rollup (stages that allocated, by name). Built by
+/// ManifestRecorder::to_json() on every armed run — peak RSS lands in
+/// every manifest.
+JsonValue resource_section();
 
 }  // namespace lvf2::obs

@@ -167,7 +167,7 @@ void Tracer::append_locked(std::string event) {
 
 void Tracer::complete_event(std::string_view name, double start_us,
                             double dur_us, double cpu_dur_us,
-                            std::string_view args_json) {
+                            std::string_view args_json, AllocSnapshot alloc) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (rollup_enabled_) {
     auto it = rollup_.find(name);
@@ -177,6 +177,8 @@ void Tracer::complete_event(std::string_view name, double start_us,
     it->second.count += 1;
     it->second.wall_us += dur_us;
     it->second.cpu_us += (cpu_dur_us > 0.0) ? cpu_dur_us : 0.0;
+    it->second.alloc_count += alloc.count;
+    it->second.alloc_bytes += alloc.bytes;
   }
   // In rollup-only mode (manifest without LVF2_TRACE) spans cost the
   // aggregation update above and no string work.

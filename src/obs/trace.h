@@ -69,12 +69,16 @@ class ArgsBuilder {
   std::string body_;
 };
 
-/// Aggregated cost of one span name: call count plus total wall and
-/// thread-CPU time. Exported into run manifests as stage rollups.
+/// Aggregated cost of one span name: call count, total wall and
+/// thread-CPU time, and (with allocation accounting on) the
+/// allocations made inside it. Exported into run manifests as the
+/// `stages` rollups and the `resource.stages` allocation columns.
 struct StageRollup {
   std::uint64_t count = 0;
   double wall_us = 0.0;
   double cpu_us = 0.0;
+  std::uint64_t alloc_count = 0;
+  std::uint64_t alloc_bytes = 0;
 };
 
 /// Process-wide trace sink.
@@ -106,9 +110,11 @@ class Tracer {
 
   /// Records a completed span ("ph":"X"). `args_json` is a rendered
   /// JSON object or empty; `cpu_dur_us` is the span's thread-CPU
-  /// time (feeds the rollup, not the trace event).
+  /// time and `alloc` its allocation delta (both feed the rollup, not
+  /// the trace event).
   void complete_event(std::string_view name, double start_us, double dur_us,
-                      double cpu_dur_us, std::string_view args_json);
+                      double cpu_dur_us, std::string_view args_json,
+                      AllocSnapshot alloc);
   /// Records a counter sample ("ph":"C").
   void counter_event(std::string_view name, double value);
 
@@ -140,7 +146,7 @@ inline void trace_counter(std::string_view name, double value) {
 /// tracing is enabled. When the sampling profiler is on, the span
 /// additionally tags its thread with the span name so hot stacks are
 /// attributed to a stage; when allocation accounting is on, the
-/// span's allocation delta feeds the per-stage resource rollup.
+/// span's allocation delta feeds its stage rollup.
 class TraceSpan {
  public:
   explicit TraceSpan(std::string_view name) {
@@ -167,14 +173,14 @@ class TraceSpan {
   ~TraceSpan() {
     if (staged_) prof::pop_stage();
     if (!active_) return;
+    AllocSnapshot alloc;
     if (alloc_tracked_) {
       const AllocSnapshot now = thread_alloc_totals();
-      record_stage_alloc(name_, now.count - alloc_start_.count,
-                         now.bytes - alloc_start_.bytes);
+      alloc = {now.count - alloc_start_.count, now.bytes - alloc_start_.bytes};
     }
     Tracer& t = Tracer::instance();
     t.complete_event(name_, start_us_, t.now_us() - start_us_,
-                     thread_cpu_us() - start_cpu_us_, args_);
+                     thread_cpu_us() - start_cpu_us_, args_, alloc);
   }
 
  private:

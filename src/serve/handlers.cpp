@@ -265,22 +265,6 @@ EntryView acquire_entry(HandlerContext& ctx, const ArcRef& ref,
   return view;
 }
 
-obs::JsonValue moments_json(const stats::SnMoments& m) {
-  obs::JsonValue out = json_object();
-  out.object.emplace_back("mean", json_number(m.mean));
-  out.object.emplace_back("stddev", json_number(m.stddev));
-  out.object.emplace_back("skewness", json_number(m.skewness));
-  return out;
-}
-
-obs::JsonValue lvf2_json(const core::Lvf2Parameters& p) {
-  obs::JsonValue out = json_object();
-  out.object.emplace_back("lambda", json_number(p.lambda));
-  out.object.emplace_back("theta1", moments_json(p.theta1));
-  out.object.emplace_back("theta2", moments_json(p.theta2));
-  return out;
-}
-
 obs::JsonValue arc_header_json(const ArcRef& ref, const EntryView& view) {
   obs::JsonValue out = json_object();
   out.object.emplace_back("cell", json_string(ref.cell->name));
@@ -302,12 +286,14 @@ HandlerResult op_arc_dist(HandlerContext& ctx, const ArcRef& ref,
                                  json_number(view.cc.nominal_delay_ns));
   out.result.object.emplace_back(
       "nominal_transition_ns", json_number(view.cc.nominal_transition_ns));
-  out.result.object.emplace_back("delay", moments_json(view.cc.lvf_delay));
-  out.result.object.emplace_back("transition",
-                                 moments_json(view.cc.lvf_transition));
-  out.result.object.emplace_back("lvf2_delay", lvf2_json(view.cc.lvf2_delay));
-  out.result.object.emplace_back("lvf2_transition",
-                                 lvf2_json(view.cc.lvf2_transition));
+  out.result.object.emplace_back("delay",
+                                 cells::moments_to_json(view.cc.lvf_delay));
+  out.result.object.emplace_back(
+      "transition", cells::moments_to_json(view.cc.lvf_transition));
+  out.result.object.emplace_back(
+      "lvf2_delay", cells::lvf2_params_to_json(view.cc.lvf2_delay));
+  out.result.object.emplace_back(
+      "lvf2_transition", cells::lvf2_params_to_json(view.cc.lvf2_transition));
   out.result.object.emplace_back("entry_status",
                                  json_string(view.cc.status.to_string()));
   return out;

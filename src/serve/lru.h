@@ -1,11 +1,11 @@
 #pragma once
 // In-memory hot-entry LRU in front of the result-cache shard files.
-// The shard store (cache::ResultCache) keeps every entry as a
-// serialized JSON string and re-parses on every lookup; a serving
-// replica answering the same handful of hot arcs thousands of times
-// should pay that parse once. The LRU memoizes *rendered result
-// documents* keyed by the entry's content-addressed hash, so a hot
-// hit is a mutex + string copy. Capacity comes from LVF2_SERVE_LRU
+// The LRU memoizes the entry's serialized cache document (17 digits)
+// keyed by its content-addressed hash, so a hot hit skips the shard
+// store's lock and a miss's Monte Carlo + EM. It does not skip the
+// decode: lookup_cached_entry (serve/handlers.cpp) re-parses and
+// re-decodes the string on every hit, which is a mutex + string copy
+// + json_parse + decode_cached_entry. Capacity comes from LVF2_SERVE_LRU
 // (default 4096 entries); serve.lru.{hit,miss,store,evict} count the
 // traffic for the manifest's serve section.
 

@@ -55,40 +55,35 @@ double now_elapsed_ms(std::chrono::steady_clock::time_point since) {
 // The manifest's "serve" section. Fed exclusively from the global
 // metrics registry (no server state), so the provider stays valid at
 // atexit time, after the Server object is long gone.
-std::string render_serve_section() {
-  std::string out = "{";
-  bool first = true;
-  const auto add = [&](const char* key, double value) {
-    if (!first) out += ",";
-    first = false;
-    obs::json_append_string(out, key);
-    out += ":";
-    obs::json_append_number(out, value);
-  };
-  const auto add_counter = [&](const char* key, const char* counter) {
-    add(key, static_cast<double>(obs::counter(counter).value()));
-  };
-  add_counter("accepted", "serve.accepted");
-  add_counter("responded", "serve.responded");
-  add_counter("completed_full", "serve.completed.full");
-  add_counter("completed_degraded", "serve.completed.degraded");
-  add_counter("failed", "serve.completed.failed");
-  add_counter("rejected", "serve.rejected");
-  add_counter("drain_refused", "serve.drain_refused");
-  add_counter("shed_overload", "serve.shed.overload");
-  add_counter("shed_deadline", "serve.shed.deadline");
-  add_counter("shed_drain", "serve.shed.drain");
-  add_counter("degraded_cached", "serve.degraded.cached");
-  add_counter("degraded_single_sn", "serve.degraded.single_sn");
-  add_counter("degraded_point_mass", "serve.degraded.point_mass");
-  add_counter("lru_hit", "serve.lru.hit");
-  add_counter("lru_miss", "serve.lru.miss");
-  add_counter("io_retry", "serve.io.retry");
-  add_counter("io_injected_hard", "serve.io.injected_hard");
-  add_counter("connections", "serve.connections");
-  add("queue_high_water", obs::gauge("serve.queue.high_water").value());
-  add("drained", obs::gauge("serve.drained").value());
-  out += "}";
+obs::JsonValue serve_section() {
+  static constexpr std::pair<const char*, const char*> kCounters[] = {
+      {"accepted", "serve.accepted"},
+      {"responded", "serve.responded"},
+      {"completed_full", "serve.completed.full"},
+      {"completed_degraded", "serve.completed.degraded"},
+      {"failed", "serve.completed.failed"},
+      {"rejected", "serve.rejected"},
+      {"drain_refused", "serve.drain_refused"},
+      {"shed_overload", "serve.shed.overload"},
+      {"shed_deadline", "serve.shed.deadline"},
+      {"shed_drain", "serve.shed.drain"},
+      {"degraded_cached", "serve.degraded.cached"},
+      {"degraded_single_sn", "serve.degraded.single_sn"},
+      {"degraded_point_mass", "serve.degraded.point_mass"},
+      {"lru_hit", "serve.lru.hit"},
+      {"lru_miss", "serve.lru.miss"},
+      {"io_retry", "serve.io.retry"},
+      {"io_injected_hard", "serve.io.injected_hard"},
+      {"connections", "serve.connections"}};
+  obs::JsonValue out = obs::json_object();
+  for (const auto& [key, counter] : kCounters) {
+    out.object.emplace_back(key, obs::json_u64(obs::counter(counter).value()));
+  }
+  out.object.emplace_back(
+      "queue_high_water",
+      obs::json_number(obs::gauge("serve.queue.high_water").value()));
+  out.object.emplace_back(
+      "drained", obs::json_number(obs::gauge("serve.drained").value()));
   return out;
 }
 
@@ -224,11 +219,14 @@ core::Status Server::start() {
   }
   if (core::Status st = bind_listener(); !st.is_ok()) return st;
   obs::ManifestRecorder::instance().set_section_provider(
-      "serve", render_serve_section);
+      "serve", serve_section);
   // The telemetry singleton is leaked, so this stays valid at atexit.
+  // The section is the `metrics` op snapshot without the registry.
   obs::ManifestRecorder::instance().set_section_provider(
-      "serve_telemetry",
-      [] { return ServeTelemetry::instance().manifest_section(); });
+      "serve_telemetry", [] {
+        return ServeTelemetry::instance().snapshot_json(
+            /*with_registry=*/false);
+      });
   {
     ServeTelemetry& telemetry = ServeTelemetry::instance();
     telemetry.set_deadline_budget_ms(options_.default_deadline_ms);

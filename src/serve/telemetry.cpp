@@ -218,10 +218,8 @@ obs::JsonValue ServeTelemetry::snapshot_json(bool with_registry) const {
   // would send every per-op number twice, each digest with its full
   // centroid state.
   if (with_registry) {
-    if (auto registry = obs::json_parse(
-            obs::MetricsRegistry::instance().to_json("serve.op."))) {
-      out.object.emplace_back("registry", std::move(*registry));
-    }
+    out.object.emplace_back(
+        "registry", obs::MetricsRegistry::instance().to_json("serve.op."));
   }
   return out;
 }
@@ -229,10 +227,6 @@ obs::JsonValue ServeTelemetry::snapshot_json(bool with_registry) const {
 std::string ServeTelemetry::prometheus() const {
   refresh_gauges();
   return obs::MetricsRegistry::instance().to_prometheus();
-}
-
-std::string ServeTelemetry::manifest_section() const {
-  return obs::json_write(snapshot_json(/*with_registry=*/false));
 }
 
 }  // namespace lvf2::serve

@@ -12,7 +12,7 @@
 // atexit, long after the Server object is gone.
 //
 // The uptime, queue-depth and rate gauges are written only when a
-// snapshot is taken (snapshot_json(), prometheus(), manifest_section()).
+// snapshot is taken (snapshot_json(), prometheus()).
 // Any other reader of the registry — the LVF2_METRICS exit dump, the
 // text sink, a bench capture — sees the value from the last snapshot,
 // or 0 if none was taken.
@@ -108,15 +108,13 @@ class ServeTelemetry {
   /// The `metrics` op JSON payload: uptime, queue/inflight, the
   /// all-ops deadline block, per-op rows (counts, rung mix, 1s/10s/60s
   /// rates, deadline compliance, queue/exec quantiles) for every op
-  /// seen so far and, with `with_registry`, the full metrics-registry
-  /// state.
+  /// seen so far and, with `with_registry`, the metrics-registry
+  /// document. Without the registry it is the manifest's
+  /// "serve_telemetry" section.
   obs::JsonValue snapshot_json(bool with_registry = true) const;
   /// Prometheus text exposition of the registry, after the
   /// snapshot-time gauges are set.
   std::string prometheus() const;
-  /// The manifest "serve_telemetry" section (serialized JSON object):
-  /// the snapshot without the registry.
-  std::string manifest_section() const;
 
  private:
   /// One op's registry series, resolved on the op's first sight.

@@ -130,81 +130,6 @@ MinimizeResult nelder_mead(
   return result;
 }
 
-ScalarResult brent_minimize(const std::function<double(double)>& f, double lo,
-                            double hi, double tolerance,
-                            std::size_t max_iterations) {
-  ScalarResult result;
-  if (lo > hi) std::swap(lo, hi);
-  constexpr double kGolden = 0.3819660112501051;  // (3 - sqrt(5)) / 2
-  double a = lo, b = hi;
-  double x = a + kGolden * (b - a);
-  double w = x, v = x;
-  std::size_t evals = 0;
-  auto eval = [&](double t) {
-    ++evals;
-    const double y = f(t);
-    return std::isfinite(y) ? y : std::numeric_limits<double>::infinity();
-  };
-  double fx = eval(x), fw = fx, fv = fx;
-  double d = 0.0, e = 0.0;
-
-  for (std::size_t iter = 0; iter < max_iterations; ++iter) {
-    const double m = 0.5 * (a + b);
-    const double tol = tolerance * std::fabs(x) + 1e-15;
-    if (std::fabs(x - m) <= 2.0 * tol - 0.5 * (b - a)) {
-      result.converged = true;
-      break;
-    }
-    double p = 0.0, q = 0.0, r = 0.0;
-    bool parabolic = false;
-    if (std::fabs(e) > tol) {
-      // Fit a parabola through (v,fv), (w,fw), (x,fx).
-      r = (x - w) * (fx - fv);
-      q = (x - v) * (fx - fw);
-      p = (x - v) * q - (x - w) * r;
-      q = 2.0 * (q - r);
-      if (q > 0.0) p = -p;
-      q = std::fabs(q);
-      const double e_old = e;
-      e = d;
-      parabolic = std::fabs(p) < std::fabs(0.5 * q * e_old) &&
-                  p > q * (a - x) && p < q * (b - x);
-      if (parabolic) {
-        d = p / q;
-        const double u = x + d;
-        if (u - a < 2.0 * tol || b - u < 2.0 * tol) {
-          d = (x < m) ? tol : -tol;
-        }
-      }
-    }
-    if (!parabolic) {
-      e = (x < m) ? b - x : a - x;
-      d = kGolden * e;
-    }
-    const double u =
-        (std::fabs(d) >= tol) ? x + d : x + ((d > 0.0) ? tol : -tol);
-    const double fu = eval(u);
-    if (fu <= fx) {
-      if (u < x) b = x; else a = x;
-      v = w; fv = fw;
-      w = x; fw = fx;
-      x = u; fx = fu;
-    } else {
-      if (u < x) a = u; else b = u;
-      if (fu <= fw || w == x) {
-        v = w; fv = fw;
-        w = u; fw = fu;
-      } else if (fu <= fv || v == x || v == w) {
-        v = u; fv = fu;
-      }
-    }
-  }
-  result.x = x;
-  result.value = fx;
-  result.evaluations = evals;
-  return result;
-}
-
 ScalarResult bisect_root(const std::function<double(double)>& f, double lo,
                          double hi, double tolerance,
                          std::size_t max_iterations) {

@@ -2,8 +2,8 @@
 // Derivative-free optimizers used by the model fits:
 //  - Nelder-Mead simplex (multi-dimensional) for the ESN and log-ESN
 //    shape fits,
-//  - Brent minimization and bisection root finding (1-D) for quantile
-//    inversion and scalar calibration problems.
+//  - bisection root finding (1-D) for quantile inversion (ESN and
+//    mixture quantiles).
 
 #include <functional>
 #include <span>
@@ -36,18 +36,13 @@ MinimizeResult nelder_mead(const std::function<double(std::span<const double>)>&
                            std::span<const double> x0,
                            const NelderMeadOptions& options = {});
 
-/// Result of a 1-D minimization / root find.
+/// Result of a 1-D root find.
 struct ScalarResult {
   double x = 0.0;
   double value = 0.0;
   std::size_t evaluations = 0;
   bool converged = false;
 };
-
-/// Brent's method: minimizes f over [lo, hi].
-ScalarResult brent_minimize(const std::function<double(double)>& f, double lo,
-                            double hi, double tolerance = 1e-10,
-                            std::size_t max_iterations = 200);
 
 /// Bisection root find on [lo, hi]. Requires a sign change; returns
 /// converged = false (and the midpoint) otherwise.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <mutex>
 #include <utility>
@@ -12,6 +10,7 @@
 #include "core/cancel.h"
 #include "exec/pool.h"
 #include "obs/json.h"
+#include "obs/log.h"
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -94,13 +93,12 @@ void run_is_shard(const spice::StageElectrical& stage,
   // component generated it. The zero-shift branch leaves the draw
   // bits untouched (x + 0.0 is not an identity for -0.0) and pins
   // every log-weight to exactly 0.
-  const double alpha =
-      std::clamp(config.defensive_alpha, 0.0, 0.9);
+  const double alpha = IsConfig::kDefensiveAlpha;
   const std::size_t shifted_rows =
       shifted ? static_cast<std::size_t>(
                     (1.0 - alpha) * static_cast<double>(count) + 0.5)
               : 0;
-  const double log_alpha = std::log(alpha);  // -inf at alpha == 0
+  const double log_alpha = std::log(alpha);
   const double log_beta = std::log1p(-alpha);
   const stats::Normal standard(0.0, 1.0);
   std::array<stats::Normal, kShiftDims> proposal;
@@ -293,7 +291,7 @@ ShiftVector ImportanceSampler::find_shift(double threshold_ns) const {
   // keeps the closest failing point — a deterministic multi-start
   // FORM search (a few hundred analytic simulations, microseconds
   // each).
-  const double h = config_.gradient_step > 0.0 ? config_.gradient_step : 0.05;
+  const double h = IsConfig::kGradientStep;
   ShiftVector grad{};
   for (std::size_t d = 0; d < kShiftDims; ++d) {
     z = ShiftVector{};
@@ -331,8 +329,7 @@ ShiftVector ImportanceSampler::find_shift(double threshold_ns) const {
 
   // Boundary distance along one ray: expanding bracket + bisection;
   // infinity when the ray never fails within the shift cap.
-  const double t_max =
-      config_.max_shift_norm > 0.0 ? config_.max_shift_norm : 8.0;
+  const double t_max = IsConfig::kMaxShiftNorm;
   const auto boundary_distance = [&](const ShiftVector& dir) {
     const auto ray_delay = [&](double t) {
       ShiftVector point{};
@@ -456,12 +453,11 @@ ShiftVector ImportanceSampler::find_shift(double threshold_ns) const {
     }
     shift = mean;
     if (gamma == threshold_ns) reached_target = true;
-    if (std::getenv("LVF2_YIELD_DEBUG") != nullptr) {
-      std::fprintf(stderr,
-                   "CE round=%zu gamma=%g target=%zu eff=%g |shift|=%g\n",
-                   round, gamma, target_rounds, effective_elites,
-                   norm(shift));
-    }
+    obs::log_debug("yield.ce_round", {{"round", round},
+                                      {"gamma", gamma},
+                                      {"target_rounds", target_rounds},
+                                      {"effective_elites", effective_elites},
+                                      {"shift_norm", norm(shift)}});
   }
   // The schedule never produced an accepted target-level proposal:
   // fall back to the on-ray design point (or, failing that too, plain
@@ -584,46 +580,33 @@ struct YieldHsRegistry {
     return *registry;
   }
 
-  std::string render() const {
-    // Numbers render at the sink-wide %.9g: the canonical golden is
+  obs::JsonValue render() const {
+    // Numbers render at the manifest's %.9g: the canonical golden is
     // parse-then-reserialize of this text, and %.9g is idempotent
     // under that round trip (17 digits would not survive canon and
     // break the zero-tolerance yield-gate diff).
+    using obs::json_number;
     std::lock_guard<std::mutex> lock(mutex);
-    std::string out = "{\"rows\":[";
-    bool first_row = true;
+    obs::JsonValue out = obs::json_array();
     for (const YieldHsRow& row : rows) {
-      if (!first_row) out += ',';
-      first_row = false;
       const IsEstimate& e = row.estimate;
-      out += "{\"label\":";
-      obs::json_append_string(out, row.label);
-      const auto field = [&](const char* key, double v) {
-        out += ",\"";
-        out += key;
-        out += "\":";
-        obs::json_append_number(out, v);
-      };
-      field("sigma", e.sigma_level);
-      field("threshold_ns", e.threshold_ns);
-      field("p_fail", e.p_fail);
-      field("std_err", e.std_err);
-      field("rel_err", e.rel_err);
-      field("samples", static_cast<double>(e.samples));
-      field("failures", static_cast<double>(e.failures));
-      field("ess", e.ess);
-      field("max_weight_fraction", e.max_weight_fraction);
-      out += ",\"converged\":";
-      out += e.converged ? "true" : "false";
-      out += ",\"shift\":[";
-      for (std::size_t d = 0; d < kShiftDims; ++d) {
-        if (d != 0) out += ',';
-        obs::json_append_number(out, e.shift[d]);
-      }
-      out += "]}";
+      obs::JsonValue shift = obs::json_array();
+      for (const double v : e.shift) shift.array.push_back(json_number(v));
+      out.array.push_back(obs::json_object(
+          {{"label", obs::json_string(row.label)},
+           {"sigma", json_number(e.sigma_level)},
+           {"threshold_ns", json_number(e.threshold_ns)},
+           {"p_fail", json_number(e.p_fail)},
+           {"std_err", json_number(e.std_err)},
+           {"rel_err", json_number(e.rel_err)},
+           {"samples", json_number(static_cast<double>(e.samples))},
+           {"failures", json_number(static_cast<double>(e.failures))},
+           {"ess", json_number(e.ess)},
+           {"max_weight_fraction", json_number(e.max_weight_fraction)},
+           {"converged", obs::json_bool(e.converged)},
+           {"shift", std::move(shift)}}));
     }
-    out += "]}";
-    return out;
+    return obs::json_object({{"rows", std::move(out)}});
   }
 
   mutable std::mutex mutex;
@@ -650,7 +633,7 @@ void record_yield_hs(std::string_view label, const IsEstimate& estimate) {
   }
 }
 
-std::string yield_hs_section_json() {
+obs::JsonValue yield_hs_section() {
   return YieldHsRegistry::instance().render();
 }
 

@@ -66,6 +66,7 @@
 #include <string>
 #include <string_view>
 
+#include "obs/json.h"
 #include "spice/cellsim.h"
 #include "spice/process.h"
 
@@ -97,9 +98,7 @@ struct IsConfig {
   bool use_lhs = true;
   /// Mass of the defensive (unshifted) mixture component: bounds
   /// every likelihood ratio by 1/alpha and keeps ESS >= alpha * n.
-  /// 0 gives the pure mean-shifted proposal (weight degeneracy risk);
-  /// values are clamped to [0, 0.9].
-  double defensive_alpha = 0.5;
+  static constexpr double kDefensiveAlpha = 0.5;
 
   // Pilot (shift search) knobs.
   /// Draws per cross-entropy refinement round (0 disables refinement
@@ -110,10 +109,10 @@ struct IsConfig {
   /// (capped internally); 0 disables refinement entirely.
   std::size_t refine_iterations = 2;
   /// Central-difference step in z units for the pilot gradient.
-  double gradient_step = 0.05;
+  static constexpr double kGradientStep = 0.05;
   /// Cap on |shift| in z units (8 sigma of joint shift is already far
   /// beyond any yield target this engine serves).
-  double max_shift_norm = 8.0;
+  static constexpr double kMaxShiftNorm = 8.0;
 };
 
 /// One importance-sampling estimate with its diagnostics.
@@ -213,12 +212,11 @@ class ImportanceSampler {
 };
 
 /// Appends one estimate to the manifest `yield_hs` section (rows keep
-/// insertion order; the provider is registered on first use and the
-/// section renders at precision 17 so golden diffs are byte-stable).
+/// insertion order; the provider is registered on first use).
 void record_yield_hs(std::string_view label, const IsEstimate& estimate);
 
-/// The rendered `yield_hs` section document (test support).
-std::string yield_hs_section_json();
+/// The `yield_hs` section document (test support).
+obs::JsonValue yield_hs_section();
 
 /// Drops all recorded rows (test support).
 void clear_yield_hs();

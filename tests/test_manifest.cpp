@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -16,6 +17,7 @@
 #include "circuits/adder.h"
 #include "obs/obs.h"
 #include "report.h"
+#include "simd/simd.h"
 #include "ssta/path_analysis.h"
 
 namespace lvf2 {
@@ -132,6 +134,127 @@ TEST(Manifest, SchemaVersionAndStableKeyOrder) {
   const obs::JsonValue* em = arc.find("em");
   ASSERT_NE(em, nullptr);
   EXPECT_EQ(em->number_or("iterations", 0.0), 17.0);
+}
+
+// The recorder-owned text of a manifest: the config member and the
+// arcs/endpoints members, then the provider sections after the
+// resource member. The stages, metrics and resource members between
+// them carry process-wide, run-dependent state.
+std::string recorder_owned_text(const std::string& json) {
+  const std::size_t config = json.find("\"config\":");
+  const std::size_t stages = json.find(",\"stages\":");
+  const std::size_t arcs = json.find(",\"arcs\":");
+  const std::size_t resource = json.find(",\"resource\":");
+  const std::size_t section = json.find(",\"test.section\":");
+  if (config == std::string::npos || stages == std::string::npos ||
+      arcs == std::string::npos || resource == std::string::npos ||
+      section == std::string::npos) {
+    return json;
+  }
+  return json.substr(config, stages - config) +
+         json.substr(arcs, resource - arcs) + json.substr(section);
+}
+
+constexpr const char* kFixedStateText =
+    R"json("config":{"str":"tab\there \"q\"","literal":"lit","dbl":3.25)json"
+    R"json(,"tiny":-2.5e-07,"u64":12345678901,"flag":true,"off":false)json"
+    R"json(,"test.overridden":"session wins","simd.tier":"scalar")json"
+    R"json(,"test.provided":"from provider"},"arcs":[{"table":"test")json"
+    R"json(,"cell":"ACELL","arc":"A->Y","metric":"delay","load_idx":1)json"
+    R"json(,"slew_idx":2,"status":"ok","golden":{"mean":0.02,"stddev":0.003)json"
+    R"json(,"skewness":0.4},"em":{"iterations":17,"log_likelihood":123.5)json"
+    R"json(,"converged":true,"degradation":"none"})json"
+    R"json(,"models":{"LVF2":{"binning":0.01,"yield_3sigma":0.0001)json"
+    R"json(,"cdf_rmse":0.002,"x_binning":10,"x_yield_3sigma":8)json"
+    R"json(,"x_cdf_rmse":9}}},{"table":"test","cell":"ZCELL","arc":"A->Y")json"
+    R"json(,"metric":"delay","load_idx":1,"slew_idx":2,"status":"em failed")json"
+    R"json(,"golden":{"mean":0.02,"stddev":0.003,"skewness":0.4})json"
+    R"json(,"em":{"iterations":17,"log_likelihood":123.5,"converged":true)json"
+    R"json(,"degradation":"none"},"models":{"LVF2":{"binning":0.02)json"
+    R"json(,"yield_3sigma":0.0001,"cdf_rmse":null,"x_binning":10)json"
+    R"json(,"x_yield_3sigma":8,"x_cdf_rmse":9}}}])json"
+    R"json(,"endpoints":[{"path":"adder.carry","depth":4)json"
+    R"json(,"golden":{"mean":0.125,"stddev":0.0123456789,"skewness":-0.5)json"
+    R"json(,"yield_3sigma":0.99865},"models":{"LVF2":{"binning":0.03)json"
+    R"json(,"yield_3sigma":0.0001,"cdf_rmse":0.002,"x_binning":10)json"
+    R"json(,"x_yield_3sigma":8,"x_cdf_rmse":9}}}],"test.section":{"n":3)json"
+    R"json(,"list":[1.5,null],"s":"x"}})json";
+
+TEST(Manifest, FixedRecorderStateRendersPinnedBytes) {
+  // Pins the tier so the simd.tier provider (registered first) renders
+  // the same on every host.
+  const simd::Tier previous_tier =
+      simd::set_tier_for_testing(simd::Tier::kScalar);
+  obs::ManifestRecorder& recorder = obs::ManifestRecorder::instance();
+  recorder.start(temp_path("lvf2_manifest_fixed.json"));
+  recorder.set_config_provider("test.provided",
+                               [] { return std::string("from provider"); });
+  recorder.set_config_provider("test.overridden",
+                               [] { return std::string("hidden"); });
+  recorder.set_config("str", std::string_view("tab\there \"q\""));
+  recorder.set_config("literal", "lit");
+  recorder.set_config("dbl", 0.1);
+  recorder.set_config("tiny", -2.5e-7);
+  recorder.set_config("u64", std::uint64_t{12345678901});
+  recorder.set_config("flag", true);
+  recorder.set_config("off", false);
+  recorder.set_config("test.overridden", "session wins");
+  recorder.set_config("dbl", 3.25);  // last write wins, first position kept
+  obs::ArcQor late = sample_arc("ZCELL", 0.02);
+  late.status = "em failed";
+  late.models[0].cdf_rmse = std::nan("");
+  recorder.add_arc(late);
+  recorder.add_arc(sample_arc("ACELL", 0.01));
+  obs::EndpointQor endpoint;
+  endpoint.path = "adder.carry";
+  endpoint.depth = 4;
+  endpoint.golden_mean = 0.125;
+  endpoint.golden_stddev = 0.0123456789012;
+  endpoint.golden_skewness = -0.5;
+  endpoint.golden_yield_3sigma = 0.99865;
+  endpoint.models = sample_arc("E", 0.03).models;
+  recorder.add_endpoint(endpoint);
+  recorder.set_section_provider("test.section", [] {
+    obs::JsonValue list = obs::json_array();
+    list.array.push_back(obs::json_number(1.5));
+    list.array.push_back(obs::JsonValue{});  // null
+    return obs::json_object({{"n", obs::json_number(3)},
+                             {"list", std::move(list)},
+                             {"s", obs::json_string("x")}});
+  });
+  const std::string json = recorder.to_json();
+  recorder.discard();
+  recorder.clear_section_provider("test.section");
+  recorder.set_config_provider("test.provided", {});
+  recorder.set_config_provider("test.overridden", {});
+  simd::set_tier_for_testing(previous_tier);
+  // Captured from the string-concatenating writer this document model
+  // replaced: the document path must render the same bytes.
+  EXPECT_EQ(recorder_owned_text(json), kFixedStateText);
+}
+
+TEST(Manifest, LargeCounterRendersExactly) {
+  obs::counter("test.manifest.big").add(5000000000ull);
+  obs::ManifestRecorder& recorder = obs::ManifestRecorder::instance();
+  recorder.start(temp_path("lvf2_manifest_big_counter.json"));
+  const std::string json = recorder.to_json();
+  recorder.discard();
+  EXPECT_NE(json.find("\"test.manifest.big\":5000000000"), std::string::npos);
+}
+
+TEST(Manifest, Uint64ConfigAtOrAbove2To53StaysExact) {
+  obs::ManifestRecorder& recorder = obs::ManifestRecorder::instance();
+  recorder.start(temp_path("lvf2_manifest_u64.json"));
+  recorder.set_config("below", std::uint64_t{9007199254740991});  // 2^53 - 1
+  recorder.set_config("at", std::uint64_t{9007199254740992});     // 2^53
+  recorder.set_config("seed", std::uint64_t{18446744073709551615u});
+  const std::string json = recorder.to_json();
+  recorder.discard();
+  EXPECT_NE(json.find("\"config\":{\"below\":9007199254740991,"
+                      "\"at\":\"9007199254740992\","
+                      "\"seed\":\"18446744073709551615\""),
+            std::string::npos)
+      << json.substr(0, 200);
 }
 
 TEST(Manifest, RoundTripsThroughReportParserAndSelfDiffIsClean) {

@@ -1,5 +1,5 @@
 // Tests of the derivative-free optimizers: Nelder-Mead on standard
-// test functions, Brent minimization and bisection root finding.
+// test functions and bisection root finding.
 
 #include <cmath>
 #include <span>
@@ -90,26 +90,6 @@ TEST(NelderMead, RespectsEvaluationBudget) {
   options.max_evaluations = 25;
   const MinimizeResult r = nelder_mead(f, x0, options);
   EXPECT_LE(r.evaluations, 30u);  // small overshoot from shrink steps
-}
-
-TEST(BrentMinimize, SmoothConvex) {
-  const auto f = [](double x) { return (x - 1.7) * (x - 1.7) + 3.0; };
-  const ScalarResult r = brent_minimize(f, -10.0, 10.0);
-  EXPECT_NEAR(r.x, 1.7, 1e-7);
-  EXPECT_NEAR(r.value, 3.0, 1e-12);
-  EXPECT_TRUE(r.converged);
-}
-
-TEST(BrentMinimize, NonConvexFindsALocalMinimumInBracket) {
-  const auto f = [](double x) { return std::sin(x); };
-  const ScalarResult r = brent_minimize(f, 3.0, 7.0);
-  EXPECT_NEAR(r.x, 4.71238898, 1e-5);  // 3*pi/2
-}
-
-TEST(BrentMinimize, SwappedBoundsHandled) {
-  const auto f = [](double x) { return x * x; };
-  const ScalarResult r = brent_minimize(f, 5.0, -5.0);
-  EXPECT_NEAR(r.x, 0.0, 1e-7);
 }
 
 TEST(BisectRoot, SimpleRoot) {

@@ -206,7 +206,7 @@ TEST(Profiler, SamplesBusyLoopIntoFoldedFile) {
 TEST(Resource, UsageReportsPeakRssAndCpu) {
   const obs::ResourceUsage usage = obs::resource_usage();
   EXPECT_GT(usage.peak_rss_kb, 0u);  // the test process is resident
-  const std::string json = obs::resource_section_json();
+  const std::string json = obs::json_write(obs::resource_section());
   EXPECT_NE(json.find("\"peak_rss_kb\":"), std::string::npos);
   EXPECT_NE(json.find("\"utime_s\":"), std::string::npos);
   EXPECT_NE(json.find("\"alloc\":{\"enabled\":"), std::string::npos);
@@ -232,11 +232,26 @@ TEST(Resource, AllocCountersTrackNewWhenEnabled) {
 }
 
 TEST(Resource, StageRollupAppearsInResourceSection) {
-  obs::record_stage_alloc("test.resource.stage", 3, 4096);
-  const std::string json = obs::resource_section_json();
-  EXPECT_NE(json.find("\"test.resource.stage\":{\"alloc_count\":3,"
-                      "\"alloc_bytes\":4096}"),
-            std::string::npos);
+  // A closing span adds its allocations to its stage rollup; the
+  // resource section lists only the stages that allocated.
+  obs::Tracer::instance().enable_rollup();
+  obs::set_alloc_stats(true);
+  {
+    obs::TraceSpan span("test.resource.stage");
+    std::vector<char> block(4096);
+    block[0] = 1;
+    EXPECT_EQ(block[0], 1);
+  }
+  { obs::TraceSpan quiet("test.quiet"); }
+  obs::set_alloc_stats(false);
+  const obs::JsonValue doc = obs::resource_section();
+  const obs::JsonValue* stages = doc.find("stages");
+  ASSERT_NE(stages, nullptr);
+  const obs::JsonValue* stage = stages->find("test.resource.stage");
+  ASSERT_NE(stage, nullptr);
+  EXPECT_GE(stage->number_or("alloc_count", 0.0), 1.0);
+  EXPECT_GE(stage->number_or("alloc_bytes", 0.0), 4096.0);
+  EXPECT_EQ(stages->find("test.quiet"), nullptr);
 }
 
 // --- perf-budget differ --------------------------------------------

@@ -504,6 +504,23 @@ TEST(ServeHandlers, YieldHsShedAnswersFromModelTail) {
   EXPECT_EQ(shed.degradation, "point_mass");
 }
 
+// The registry document rides in the reply as is: a counter past
+// %.9g's reach still renders as its exact integer.
+TEST(ServeHandlers, MetricsOpRendersLargeCountersExactly) {
+  serve::HandlerContext ctx;
+  configure_context(ctx);
+  obs::counter("test.serve.big").add(5000000000ull);
+  serve::Request request;
+  request.op = "metrics";
+  request.params = obs::json_object();
+  const serve::HandlerResult result =
+      serve::handle_request(ctx, request, serve::ExecMode::kFull);
+  ASSERT_TRUE(result.status.is_ok()) << result.status.to_string();
+  const std::string reply = serve::render_response(
+      1, result.status, result.degradation, 0.0, &result.result, 0.0);
+  EXPECT_NE(reply.find("\"test.serve.big\":5000000000"), std::string::npos);
+}
+
 TEST(ServeHandlers, MetricsOpExposesSnapshotAndPrometheus) {
   serve::HandlerContext ctx;
   configure_context(ctx);

@@ -228,13 +228,14 @@ TEST(Yield, ManifestSectionRoundTrips) {
   est.shift[0] = 3.0;
   est.converged = true;
   record_yield_hs("unit", est);
-  const std::string doc = yield_hs_section_json();
+  const std::string doc = obs::json_write(yield_hs_section());
   EXPECT_NE(doc.find("\"label\":\"unit\""), std::string::npos);
   EXPECT_NE(doc.find("\"sigma\":3"), std::string::npos);
   EXPECT_NE(doc.find("\"samples\":8192"), std::string::npos);
   EXPECT_NE(doc.find("\"converged\":true"), std::string::npos);
   clear_yield_hs();
-  EXPECT_EQ(yield_hs_section_json().find("\"label\""), std::string::npos);
+  EXPECT_EQ(obs::json_write(yield_hs_section()).find("\"label\""),
+            std::string::npos);
 }
 
 }  // namespace
