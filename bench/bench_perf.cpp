@@ -387,6 +387,36 @@ void BM_GridConvolve(benchmark::State& state) {
 BENCHMARK(BM_GridConvolve)->Arg(512)->Arg(1024)->Arg(2048)->Unit(
     benchmark::kMillisecond);
 
+// One block-SSTA node refit (paper Section 3.4): a family refitted to
+// the ~4096-point convolution of a 2048-point two-component mixture
+// grid and a 2048-point stage grid. The refit EM runs on the grid
+// rebinned to likelihood_bins weighted points (DESIGN.md decision 1).
+void BM_RefitGrid(benchmark::State& state) {
+  const auto kind = static_cast<core::ModelKind>(state.range(0));
+  const stats::SkewNormal c1 = stats::SkewNormal::from_moments(1.0, 0.05, 0.3);
+  const stats::SkewNormal c2 =
+      stats::SkewNormal::from_moments(1.25, 0.06, -0.2);
+  const stats::SkewNormal stage = stats::SkewNormal::from_moments(0.4, 0.03, 0.5);
+  const auto conv = stats::GridPdf::convolve(
+      stats::GridPdf::from_function(
+          [&](double x) { return 0.65 * c1.pdf(x) + 0.35 * c2.pdf(x); }, 0.6,
+          1.6, 2048),
+      stats::GridPdf::from_function([&](double x) { return stage.pdf(x); },
+                                    0.2, 0.6, 2048));
+  const core::FitOptions options;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::refit_model(kind, conv, options));
+  }
+  state.counters["grid_points"] = static_cast<double>(conv.size());
+  state.counters["weighted_points"] =
+      static_cast<double>(core::make_weighted_data(conv, options).size());
+  state.SetLabel(core::to_string(kind));
+}
+BENCHMARK(BM_RefitGrid)
+    ->Arg(static_cast<int>(core::ModelKind::kNorm2))
+    ->Arg(static_cast<int>(core::ModelKind::kLvf2))
+    ->Unit(benchmark::kMillisecond);
+
 // Analytic mixture convolution (grid-free SSTA sum) vs the grid
 // convolution above: the moment-space operation is O(K*L) closed
 // forms instead of O(n^2) grid work.

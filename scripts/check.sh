@@ -6,7 +6,8 @@
 # manifest run diffed arc-by-arc against scripts/golden/
 # qor_manifest.json with lvf2_report, plus a 4-bit adder path run
 # diffed against scripts/golden/path_manifest.json; the canonical form
-# of both scalar runs must also match its golden byte for byte.
+# of both scalar runs must also match its golden byte for byte, and
+# the ambient SIMD tier of both runs must stay within a tolerance.
 #
 # Tier-1.5 (--sanitize): the same gate rebuilt under ASan + UBSan in
 # its own build directory, plus an everything-armed fault-injection
@@ -752,6 +753,9 @@ LVF2_SIMD=scalar LVF2_MANIFEST="$SMOKE_DIR/manifest_scalar.json" \
 PATH_GOLDEN=scripts/golden/path_manifest.json
 LVF2_SIMD=scalar LVF2_MANIFEST="$SMOKE_DIR/path_scalar.json" \
   "$BUILD_DIR/examples/ssta_path" 4 >/dev/null
+# The same path on the ambient tier, held to the SIMD tolerance.
+LVF2_MANIFEST="$SMOKE_DIR/path.json" \
+  "$BUILD_DIR/examples/ssta_path" 4 >/dev/null
 if [ "$UPDATE_GOLDEN" = 1 ]; then
   mkdir -p scripts/golden
   "$REPORT" canon "$SMOKE_DIR/manifest_scalar.json" > "$GOLDEN"
@@ -781,6 +785,10 @@ elif [ -f "$GOLDEN" ]; then
     || { echo "FAIL: vector-tier QoR drifted vs $GOLDEN beyond the" \
               "SIMD tolerance (accuracy regression in the batch" \
               "kernels)"; exit 1; }
+  "$REPORT" diff "$PATH_GOLDEN" "$SMOKE_DIR/path.json" \
+      --rtol 0.35 --atol 1e-6 \
+    || { echo "FAIL: vector-tier path QoR drifted vs $PATH_GOLDEN" \
+              "beyond the SIMD tolerance"; exit 1; }
 else
   echo "WARN: $GOLDEN missing; run scripts/check.sh --update-golden"
 fi

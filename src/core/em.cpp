@@ -225,6 +225,14 @@ std::optional<Mixture<C>> degrade(EmReport& rep, stats::Moments m) {
   return single<C>(m);
 }
 
+// Compression telemetry: raw observations in, weighted points out.
+void record_binning(std::size_t in, std::size_t out) {
+  static obs::Counter& in_counter = obs::counter("em.binning.samples_in");
+  static obs::Counter& out_counter = obs::counter("em.binning.points_out");
+  in_counter.add(in);
+  out_counter.add(out);
+}
+
 }  // namespace
 
 const char* to_string(FitDegradation degradation) {
@@ -251,29 +259,44 @@ WeightedData make_weighted_data(std::span<const double> samples,
         stats::bin_samples(samples, options.likelihood_bins);
     for (std::size_t i = 0; i < bins.centers.size(); ++i) {
       if (bins.counts[i] > 0.0) {
-        data.x.push_back(bins.centers[i]);
-        data.w.push_back(bins.counts[i]);
-        data.total_weight += bins.counts[i];
+        data.add(bins.centers[i], bins.counts[i]);
       }
     }
   }
-  // Compression telemetry: raw observations in, weighted points out.
-  static obs::Counter& in = obs::counter("em.binning.samples_in");
-  static obs::Counter& out = obs::counter("em.binning.points_out");
-  in.add(samples.size());
-  out.add(data.size());
+  record_binning(samples.size(), data.size());
   return data;
 }
 
-WeightedData make_weighted_data(const stats::GridPdf& pdf) {
+WeightedData make_weighted_data(const stats::GridPdf& pdf,
+                                const FitOptions& options) {
+  obs::TraceSpan span("em.bin");
   WeightedData data;
   for (std::size_t i = 0; i < pdf.size(); ++i) {
     const double w = pdf.density()[i] * pdf.step();
-    if (w <= 0.0) continue;
-    data.x.push_back(pdf.x_at(i));
-    data.w.push_back(w);
-    data.total_weight += w;
+    if (w > 0.0) data.add(pdf.x_at(i), w);
   }
+  const std::size_t bins = options.likelihood_bins;
+  if (bins > 0 && data.size() > bins) {
+    // Trim the tails, which together hold < 1e-12 of the mass, then
+    // merge runs of consecutive points into at most `bins` groups,
+    // each at its weighted centroid, so mass and mean stay exact.
+    const double tail = 0.5e-12 * data.total_weight;
+    std::size_t lo = 0, hi = data.size() - 1;  // inclusive
+    for (double m = data.w[lo]; m < tail; m += data.w[++lo]) {}
+    for (double m = data.w[hi]; m < tail; m += data.w[--hi]) {}
+    const std::size_t group = (hi - lo + bins) / bins;
+    WeightedData merged;
+    for (std::size_t g = lo; g <= hi; g += group) {
+      double w = 0.0, wx = 0.0;
+      for (std::size_t i = g; i <= std::min(g + group - 1, hi); ++i) {
+        w += data.w[i];
+        wx += data.w[i] * data.x[i];
+      }
+      merged.add(wx / w, w);
+    }
+    data = std::move(merged);
+  }
+  record_binning(pdf.size(), data.size());
   return data;
 }
 

@@ -27,6 +27,11 @@ struct WeightedData {
   double total_weight = 0.0;
 
   std::size_t size() const { return x.size(); }
+  void add(double xi, double wi) {
+    x.push_back(xi);
+    w.push_back(wi);
+    total_weight += wi;
+  }
 };
 
 /// Compresses `samples` per `options.likelihood_bins` (0 keeps raw
@@ -35,9 +40,12 @@ WeightedData make_weighted_data(std::span<const double> samples,
                                 const FitOptions& options);
 
 /// Weighted data from a tabulated density: grid points weighted by
-/// density * step. Used to refit a model family to a propagated
-/// (convolved) distribution in block-based SSTA.
-WeightedData make_weighted_data(const stats::GridPdf& pdf);
+/// density * step, binned like the sample overload: negligible tails
+/// trimmed, then runs of points merged at their weighted centroids
+/// (DESIGN.md decision 1). Used to refit a model family to a
+/// propagated (convolved) distribution in block-based SSTA.
+WeightedData make_weighted_data(const stats::GridPdf& pdf,
+                                const FitOptions& options);
 
 /// How far down the graceful-degradation chain a fit had to walk:
 ///   validated samples -> mixture EM -> single component ->

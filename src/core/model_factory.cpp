@@ -51,6 +51,7 @@ std::unique_ptr<TimingModel> refit_model(ModelKind kind,
   moments.skewness = pdf.skewness();
   moments.kurtosis = pdf.kurtosis();
   if (!(moments.stddev > 0.0)) return nullptr;
+  const auto data = [&] { return make_weighted_data(pdf, options); };
   switch (kind) {
     case ModelKind::kLvf:
       return std::make_unique<LvfModel>(LvfModel::from_moments(
@@ -58,12 +59,11 @@ std::unique_ptr<TimingModel> refit_model(ModelKind kind,
     case ModelKind::kLesn:
       return wrap(LesnModel::fit_moments(moments, pdf.lo() > 0.0));
     case ModelKind::kNorm2:
-      return wrap(Norm2Model::fit_weighted(make_weighted_data(pdf), options));
+      return wrap(Norm2Model::fit_weighted(data(), options));
     case ModelKind::kLvf2:
-      return wrap(Lvf2Model::fit_weighted(make_weighted_data(pdf), options));
+      return wrap(Lvf2Model::fit_weighted(data(), options));
     case ModelKind::kLvfK:
-      return wrap(
-          LvfKModel::fit_weighted(make_weighted_data(pdf), 3, options));
+      return wrap(LvfKModel::fit_weighted(data(), 3, options));
   }
   return nullptr;
 }

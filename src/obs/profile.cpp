@@ -89,6 +89,9 @@ std::mutex g_session_mutex;
 ProfileOptions g_options;
 bool g_running = false;
 bool g_handlers_installed = false;
+// The counters stop() rendered into the folded file; stats() reports
+// them after a session, since a late SIGPROF may bump a live count.
+ProfileStats g_last_stats;
 std::string g_last_path;
 
 #if LVF2_PROFILE_SUPPORTED
@@ -387,6 +390,8 @@ bool Profiler::running() const {
 }
 
 ProfileStats Profiler::stats() const {
+  std::lock_guard<std::mutex> lock(g_session_mutex);
+  if (!g_running) return g_last_stats;
   ProfileStats stats;
   const std::size_t high = g_slot_high_water.load(std::memory_order_acquire);
   for (std::size_t i = 0; i < high; ++i) {
@@ -490,6 +495,7 @@ void Profiler::stop() {
   last_path_ = g_options.path;
   counter("profile.samples").add(stats.samples);
   counter("profile.dropped").add(stats.dropped);
+  g_last_stats = stats;
   g_running = false;
 #endif
 }

@@ -147,7 +147,8 @@ class Profiler {
   void stop();
 
   bool running() const;
-  /// Live counters of the current (or last) session.
+  /// Live counters of the current session; after stop(), the counters
+  /// of the folded file it wrote.
   ProfileStats stats() const;
   /// The folded output of stop(), kept for tests (empty before the
   /// first stop()).
