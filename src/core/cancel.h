@@ -8,9 +8,10 @@
 //
 // Scope and cost:
 //  - A deadline is thread-local, armed by a DeadlineGuard on the
-//    thread that executes the request (lvf2d runs each request body
-//    on one exec::Pool slot; nested parallel_for calls run inline on
-//    that thread, so the guard covers the whole compute).
+//    thread that executes the request (one of lvf2d's dispatch
+//    threads). A parallel_for issued under the guard fans out to
+//    exec::Pool workers, which inherit the caller's deadline for the
+//    duration of the job, so the guard covers the whole compute.
 //  - With no guard armed, checkpoint() is a thread-local pointer
 //    load and a branch — batch runs never pay for serving machinery.
 //  - The guarantee is "deadline + one checkpoint interval": the

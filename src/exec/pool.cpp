@@ -248,7 +248,10 @@ void Pool::worker_loop(std::size_t telemetry_slot) {
     // requested parallelism even when the pool holds more workers.
     if (job->entered.fetch_add(1, std::memory_order_relaxed) <
         job->worker_limit) {
+      core::detail::DeadlineState* const saved = core::detail::tl_deadline;
+      core::detail::tl_deadline = job->deadline;
       work_on(*job, telemetry_slot);
+      core::detail::tl_deadline = saved;
     }
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -287,6 +290,7 @@ void Pool::run(std::size_t n, std::size_t chunk, std::size_t parallelism,
   job.chunk = chunk;
   job.worker_limit = helpers;
   job.fn = &fn;
+  job.deadline = core::detail::tl_deadline;
   std::size_t posted_to = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);

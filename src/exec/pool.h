@@ -18,6 +18,10 @@
 // re-entry, no deadlock, and inner loops inherit the outer loop's
 // thread. One fork-join job runs at a time; concurrent top-level
 // callers serialize on the job mutex.
+//
+// Deadlines: workers run a job under the caller's armed deadline
+// (core/cancel.h), so checkpoint() cancels every shard of a fanned-out
+// loop, not only the caller's.
 
 #include <atomic>
 #include <condition_variable>
@@ -28,6 +32,8 @@
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include "core/cancel.h"
 
 namespace lvf2::exec {
 
@@ -121,6 +127,9 @@ class Pool {
     std::size_t chunk = 1;
     std::size_t worker_limit = 0;  ///< workers allowed to join
     const std::function<void(std::size_t)>* fn = nullptr;
+    /// The caller's armed deadline (nullptr when none); workers arm it
+    /// while they work on the job. The caller's guard outlives the job.
+    core::detail::DeadlineState* deadline = nullptr;
     std::atomic<std::size_t> next{0};     ///< chunk cursor
     std::atomic<std::size_t> entered{0};  ///< workers that tried to join
     std::atomic<bool> failed{false};

@@ -1,6 +1,6 @@
 #pragma once
 // Admission control: a bounded MPMC request queue with a shed
-// watermark. Connection readers push, the dispatcher pops. Three
+// watermark. Connection readers push, the dispatch threads pop. Three
 // admission outcomes:
 //
 //   kAccepted      depth below the watermark — full-quality compute
@@ -66,15 +66,6 @@ class AdmissionQueue {
   std::optional<T> pop() {
     std::unique_lock<std::mutex> lock(mutex_);
     ready_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
-  /// Non-blocking pop; nullopt when the queue is momentarily empty.
-  std::optional<T> try_pop() {
-    std::lock_guard<std::mutex> lock(mutex_);
     if (items_.empty()) return std::nullopt;
     T item = std::move(items_.front());
     items_.pop_front();

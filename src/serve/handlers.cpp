@@ -392,17 +392,15 @@ HandlerResult op_path_ssta(HandlerContext& ctx, const ArcRef& ref,
   // Full path: tabulate the arc's mixture PDF and convolve it depth
   // times (identical-stage chain, paper Section 4.4 style). Runs
   // serially on the request's thread so the armed deadline covers the
-  // per-stage checkpoints in propagate_chain.
+  // per-stage checkpoints, holding one cumulative grid at a time.
   const stats::GridPdf stage = stats::GridPdf::from_function(
       [&](double x) { return model.pdf(x); }, mu - 8.0 * sigma,
       mu + 8.0 * sigma, 512);
-  const std::vector<stats::GridPdf> stages(depth, stage);
   ssta::SstaOptions options;
   options.grid_points = 1024;
   options.max_conv_points = 2048;
-  const std::vector<stats::GridPdf> cumulative =
-      ssta::propagate_chain(stages, {}, options);
-  const stats::GridPdf& endpoint = cumulative.back();
+  const stats::GridPdf endpoint =
+      ssta::chain_endpoint(stage, depth, options);
   const double mean_d = endpoint.mean();
   const double sigma_d = endpoint.stddev();
   out.result.object.emplace_back("arrival_mean_ns", json_number(mean_d));

@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "core/cancel.h"
@@ -236,12 +237,23 @@ core::Status Server::start() {
   RequestTraceLog::instance().configure_from_env();
   started_ = true;
   accept_thread_ = std::thread([this] { accept_loop(); });
-  dispatcher_thread_ = std::thread([this] { dispatcher_loop(); });
+  // Each dispatch thread serves one request at a time, start to
+  // answer, so a request starts as soon as any thread is free.
+  std::size_t dispatchers = options_.max_inflight;
+  if (dispatchers == 0) dispatchers = exec::thread_count();
+  for (std::size_t i = 0; i < dispatchers; ++i) {
+    dispatch_threads_.emplace_back([this] {
+      while (std::optional<PendingRequest> item = queue_.pop()) {
+        process(*item);
+      }
+    });
+  }
   obs::log_info("serve.started",
                 {{"listen", options_.listen},
                  {"tcp_port", tcp_port_},
                  {"deadline_ms", options_.default_deadline_ms},
-                 {"queue", options_.queue_capacity}});
+                 {"queue", options_.queue_capacity},
+                 {"max_inflight", dispatchers}});
   return core::Status::ok();
 }
 
@@ -351,7 +363,7 @@ void Server::reader_loop(std::shared_ptr<Connection> conn) {
     const std::uint64_t id = item.request.id;
     const std::string op = item.request.op;  // survives the push
     // try_push marks item.shed when admission crosses the watermark;
-    // the dispatcher reads the verdict off the queued item.
+    // the dispatch thread reads the verdict off the queued item.
     if (queue_.try_push(std::move(item)) == Admit::kRejected) {
       obs::counter("serve.rejected").add(1);
       const core::Status refusal = core::Status::resource_exhausted(
@@ -367,27 +379,6 @@ void Server::reader_loop(std::shared_ptr<Connection> conn) {
     } else {
       obs::counter("serve.accepted").add(1);
     }
-  }
-}
-
-void Server::dispatcher_loop() {
-  std::size_t max_inflight = options_.max_inflight;
-  if (max_inflight == 0) max_inflight = exec::thread_count();
-  if (max_inflight == 0) max_inflight = 1;
-  std::vector<PendingRequest> batch;
-  while (true) {
-    std::optional<PendingRequest> first = queue_.pop();
-    if (!first.has_value()) break;
-    batch.clear();
-    batch.push_back(std::move(*first));
-    while (batch.size() < max_inflight) {
-      std::optional<PendingRequest> more = queue_.try_pop();
-      if (!more.has_value()) break;
-      batch.push_back(std::move(*more));
-    }
-    obs::gauge("serve.batch_size").set(static_cast<double>(batch.size()));
-    exec::parallel_for(batch.size(), 1,
-                       [&](std::size_t i) { process(batch[i]); });
   }
 }
 
@@ -440,10 +431,13 @@ void Server::process(PendingRequest& item) {
   } else {
     obs::counter("serve.completed.full").add(1);
   }
+  // Counted before the write: once a client holds its answer, a
+  // `stats` request it sends next (possibly served on another dispatch
+  // thread) must already count it.
+  obs::counter("serve.responded").add(1);
   const std::size_t bytes_out =
       respond(*item.conn, item.request.id, result.status, result.degradation,
               elapsed_ms, result.status.is_ok() ? &result.result : nullptr);
-  obs::counter("serve.responded").add(1);
   const double exec_ms = now_elapsed_ms(exec_start);
   telemetry.inflight_add(-1);
   telemetry.record_response(item.request.op, result.status.is_ok(),
@@ -488,7 +482,8 @@ void Server::wait() {
   if (!started_ || joined_) return;
   if (!stop_requested_.load()) return;  // still serving
   if (accept_thread_.joinable()) accept_thread_.join();
-  if (dispatcher_thread_.joinable()) dispatcher_thread_.join();
+  for (std::thread& t : dispatch_threads_) t.join();
+  dispatch_threads_.clear();
   {
     std::lock_guard<std::mutex> lock(conns_mutex_);
     for (std::thread& t : reader_threads_) {

@@ -1,6 +1,6 @@
 #pragma once
-// lvf2d server core: listener, per-connection readers, and a
-// dispatcher that executes admitted requests on the shared exec::Pool.
+// lvf2d server core: listener, per-connection readers, and the
+// dispatch threads that execute admitted requests.
 //
 // Lifecycle:
 //   Server s(options); s.start();       // bind + listen + threads up
@@ -17,11 +17,13 @@
 // the manifest's "serve" section is fed entirely from global counters
 // so it stays valid at exit time.
 //
-// Threading: one accept thread, one reader thread per connection, one
-// dispatcher thread that pops batches of up to max_inflight requests
-// and fans them out with exec::parallel_for — the request body runs
-// on one pool slot, where its DeadlineGuard arms the thread-local
-// deadline for the checkpoint hooks in MC / EM / SSTA loops.
+// Threading: one accept thread, one reader thread per connection, and
+// max_inflight dispatch threads. Each dispatch thread pops one request
+// and runs it to its answer, so a slow request holds one thread and
+// never delays the requests behind it on the others. Its DeadlineGuard
+// arms the thread-local deadline for the checkpoint hooks in MC / EM /
+// SSTA loops; an inner parallel_for (importance-sampling shards, MC on
+// a cache miss) fans out to exec::Pool workers, which inherit it.
 
 #include <atomic>
 #include <chrono>
@@ -45,8 +47,8 @@ struct ServerOptions {
   /// Default per-request budget when the request carries none;
   /// <= 0 means no deadline (LVF2_DEADLINE_MS).
   double default_deadline_ms = 0.0;
-  /// Requests dispatched concurrently per batch; 0 = the pool's
-  /// thread budget (LVF2_MAX_INFLIGHT).
+  /// Dispatch threads, i.e. requests executed concurrently;
+  /// 0 = exec::thread_count() (LVF2_MAX_INFLIGHT).
   std::size_t max_inflight = 0;
   /// Admission queue capacity (LVF2_SERVE_QUEUE).
   std::size_t queue_capacity = 64;
@@ -73,7 +75,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds the listener and starts the accept + dispatcher threads.
+  /// Binds the listener and starts the accept + dispatch threads.
   core::Status start();
 
   /// Begins the graceful drain (idempotent, normal context — signal
@@ -115,7 +117,6 @@ class Server {
   core::Status bind_listener();
   void accept_loop();
   void reader_loop(std::shared_ptr<Connection> conn);
-  void dispatcher_loop();
   void process(PendingRequest& item);
   /// Returns the response payload bytes written (0 when the write
   /// failed or the connection was already broken) — the request
@@ -141,7 +142,7 @@ class Server {
   bool joined_ = false;
 
   std::thread accept_thread_;
-  std::thread dispatcher_thread_;
+  std::vector<std::thread> dispatch_threads_;
   std::mutex conns_mutex_;
   std::vector<std::thread> reader_threads_;
   std::vector<std::weak_ptr<Connection>> conns_;

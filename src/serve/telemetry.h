@@ -88,7 +88,7 @@ class ServeTelemetry {
   /// registry without bound.
   void record_request(std::string_view op);
 
-  /// Records a completed response (dispatcher side). `budget_ms` <= 0
+  /// Records a completed response (dispatch side). `budget_ms` <= 0
   /// means the request ran without a deadline.
   void record_response(std::string_view op, bool is_ok,
                        std::string_view degradation, double queue_ms,

@@ -21,6 +21,44 @@ bool contain_poisoned(const stats::GridPdf& x, const stats::GridPdf& y) {
   return true;
 }
 
+// One stage of a chain: the cumulative arrival after adding
+// `stage_pdf` (shifted by `*wire_delay` when the chain has wires) to
+// `previous`, the arrival after the stages before it (empty before
+// the first). Both chain entry points fold their stages through this
+// step, so the checkpoint, fault hooks and containment exist once.
+stats::GridPdf chain_step(const stats::GridPdf& previous,
+                          const stats::GridPdf& stage_pdf,
+                          const double* wire_delay,
+                          const SstaOptions& options) {
+  // Deadline checkpoint (lvf2d): at most one more stage convolution
+  // runs after a request's budget expires.
+  core::checkpoint();
+  stats::GridPdf stage = stage_pdf;
+  if (robust::fire(robust::Fault::kSstaEmptyPdf)) {
+    stage = stats::GridPdf();
+  }
+  if (pdf_poisoned(stage)) {
+    // Containment: a dead stage contributes zero delay — carry the
+    // previous cumulative forward instead of poisoning the rest of
+    // the chain.
+    obs::counter("robust.ssta.poisoned_stage").add(1);
+    return previous;
+  }
+  if (wire_delay != nullptr) {
+    double wire = *wire_delay;
+    if (robust::fire(robust::Fault::kSstaNonfinite)) {
+      wire = std::numeric_limits<double>::quiet_NaN();
+    }
+    if (!std::isfinite(wire)) {
+      obs::counter("robust.ssta.nonfinite_delay").add(1);
+      wire = 0.0;
+    }
+    if (wire != 0.0) stage = stage.shifted(wire);
+  }
+  if (pdf_poisoned(previous)) return stage;
+  return ssta_sum(previous, stage, options);
+}
+
 }  // namespace
 
 stats::GridPdf ssta_sum(const stats::GridPdf& x, const stats::GridPdf& y,
@@ -60,41 +98,25 @@ std::vector<stats::GridPdf> propagate_chain(
   obs::TraceSpan span("ssta.propagate_chain", [&] {
     return obs::ArgsBuilder().add("stages", stage_pdfs.size()).str();
   });
+  const stats::GridPdf none;
   std::vector<stats::GridPdf> cumulative;
   cumulative.reserve(stage_pdfs.size());
   for (std::size_t i = 0; i < stage_pdfs.size(); ++i) {
-    // Deadline checkpoint (lvf2d): at most one more stage convolution
-    // runs after a request's budget expires.
-    core::checkpoint();
-    stats::GridPdf stage = stage_pdfs[i];
-    if (robust::fire(robust::Fault::kSstaEmptyPdf)) {
-      stage = stats::GridPdf();
-    }
-    if (pdf_poisoned(stage)) {
-      // Containment: a dead stage contributes zero delay — carry the
-      // previous cumulative forward instead of poisoning the rest of
-      // the chain.
-      obs::counter("robust.ssta.poisoned_stage").add(1);
-      cumulative.push_back(cumulative.empty() ? stats::GridPdf()
-                                              : cumulative.back());
-      continue;
-    }
-    if (!wire_delays.empty()) {
-      double wire = wire_delays[i];
-      if (robust::fire(robust::Fault::kSstaNonfinite)) {
-        wire = std::numeric_limits<double>::quiet_NaN();
-      }
-      if (!std::isfinite(wire)) {
-        obs::counter("robust.ssta.nonfinite_delay").add(1);
-        wire = 0.0;
-      }
-      if (wire != 0.0) stage = stage.shifted(wire);
-    }
-    if (cumulative.empty() || pdf_poisoned(cumulative.back())) {
-      cumulative.push_back(std::move(stage));
-    } else {
-      cumulative.push_back(ssta_sum(cumulative.back(), stage, options));
-    }
+    cumulative.push_back(chain_step(
+        cumulative.empty() ? none : cumulative.back(), stage_pdfs[i],
+        wire_delays.empty() ? nullptr : &wire_delays[i], options));
+  }
+  return cumulative;
+}
+
+stats::GridPdf chain_endpoint(const stats::GridPdf& stage, std::size_t depth,
+                              const SstaOptions& options) {
+  obs::TraceSpan span("ssta.chain_endpoint", [&] {
+    return obs::ArgsBuilder().add("stages", depth).str();
+  });
+  stats::GridPdf cumulative;
+  for (std::size_t i = 0; i < depth; ++i) {
+    cumulative = chain_step(cumulative, stage, nullptr, options);
   }
   return cumulative;
 }

@@ -42,4 +42,11 @@ std::vector<stats::GridPdf> propagate_chain(
     std::span<const double> wire_delays = {},
     const SstaOptions& options = {});
 
+/// The endpoint of a chain of `depth` identical stages, with no wire
+/// delays: bitwise propagate_chain(depth copies of `stage`).back(),
+/// but holding one cumulative grid at a time instead of all `depth`.
+/// Empty when depth is 0.
+stats::GridPdf chain_endpoint(const stats::GridPdf& stage, std::size_t depth,
+                              const SstaOptions& options = {});
+
 }  // namespace lvf2::ssta

@@ -1,11 +1,15 @@
 // Tests of the block-based SSTA operators: sum (convolution), max,
-// and chain propagation with deterministic wire delays.
+// chain propagation with deterministic wire delays, and the
+// one-grid-at-a-time chain endpoint.
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
+#include "robust/faults.h"
 #include "ssta/block_ssta.h"
 #include "stats/normal.h"
 #include "stats/rng.h"
@@ -94,6 +98,79 @@ TEST(PropagateChain, SkewnessDecaysAlongChain) {
   EXPECT_NEAR(s1, 2.0, 0.05);
   EXPECT_NEAR(s4, s1 / 2.0, 0.05);   // n = 4 -> skew / sqrt(4)
   EXPECT_NEAR(s9, s1 / 3.0, 0.05);   // n = 9 -> skew / sqrt(9)
+}
+
+// The `path_ssta` op's shapes: a skewed two-component stage
+// tabulated on 512 points, propagated at 1024/2048.
+stats::GridPdf serve_stage() {
+  const stats::Normal a(0.10, 0.010), b(0.13, 0.015);
+  return stats::GridPdf::from_function(
+      [&](double x) { return 0.7 * a.pdf(x) + 0.3 * b.pdf(x); }, 0.02, 0.25,
+      512);
+}
+
+SstaOptions serve_options() {
+  SstaOptions options;
+  options.grid_points = 1024;
+  options.max_conv_points = 2048;
+  return options;
+}
+
+void expect_bitwise_equal(const stats::GridPdf& a, const stats::GridPdf& b) {
+  EXPECT_EQ(a.size(), b.size());
+  EXPECT_EQ(a.lo(), b.lo());
+  EXPECT_EQ(a.hi(), b.hi());
+  const std::vector<double> da(a.density().begin(), a.density().end());
+  const std::vector<double> db(b.density().begin(), b.density().end());
+  EXPECT_EQ(da, db);
+}
+
+TEST(ChainEndpoint, MatchesPropagateChainBackBitwise) {
+  const stats::GridPdf stage = serve_stage();
+  const SstaOptions options = serve_options();
+  for (std::size_t depth : {1u, 2u, 8u, 32u}) {
+    SCOPED_TRACE(depth);
+    const std::vector<stats::GridPdf> stages(depth, stage);
+    const std::vector<stats::GridPdf> cum =
+        propagate_chain(stages, {}, options);
+    expect_bitwise_equal(chain_endpoint(stage, depth, options), cum.back());
+  }
+  EXPECT_TRUE(chain_endpoint(stage, 0, options).empty());
+}
+
+// Both loops fold through one step, so armed empty-PDF faults poison
+// the same stages and the containment carries the same arrival.
+TEST(ChainEndpoint, AgreesWithPropagateChainUnderEmptyPdfFaults) {
+  const stats::GridPdf stage = serve_stage();
+  const SstaOptions options = serve_options();
+  robust::FaultInjector& injector = robust::FaultInjector::instance();
+  struct Disarm {
+    ~Disarm() { robust::FaultInjector::instance().clear(); }
+  } disarm;
+  obs::Counter& poisoned = obs::counter("robust.ssta.poisoned_stage");
+  for (int seed = 1; seed <= 4; ++seed) {
+    for (std::size_t depth : {8u, 32u}) {
+      SCOPED_TRACE(std::to_string(seed) + "/" + std::to_string(depth));
+      const std::string spec =
+          "ssta.empty_pdf:0.3;seed=" + std::to_string(seed);
+      ASSERT_TRUE(injector.configure(spec).is_ok());
+      const std::uint64_t before_chain = poisoned.value();
+      const std::vector<stats::GridPdf> stages(depth, stage);
+      const std::vector<stats::GridPdf> cum =
+          propagate_chain(stages, {}, options);
+      const std::uint64_t chain_poisoned = poisoned.value() - before_chain;
+
+      ASSERT_TRUE(injector.configure(spec).is_ok());
+      const std::uint64_t before_endpoint = poisoned.value();
+      const stats::GridPdf endpoint = chain_endpoint(stage, depth, options);
+      const std::uint64_t endpoint_poisoned =
+          poisoned.value() - before_endpoint;
+
+      EXPECT_GT(chain_poisoned, 0u);
+      EXPECT_EQ(endpoint_poisoned, chain_poisoned);
+      expect_bitwise_equal(endpoint, cum.back());
+    }
+  }
 }
 
 }  // namespace

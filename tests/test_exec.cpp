@@ -16,6 +16,7 @@
 
 #include "cells/characterize.h"
 #include "circuits/adder.h"
+#include "core/cancel.h"
 #include "exec/pool.h"
 #include "obs/manifest.h"
 #include "obs/metrics.h"
@@ -159,6 +160,46 @@ TEST(Pool, WorkerLimitCapsParallelism) {
   };
   pool.run(64, 1, 2, fn);  // parallelism 2: caller + at most 1 worker
   EXPECT_LE(peak.load(), 2);
+}
+
+// A fanned-out loop runs under the caller's deadline on every
+// thread, so shards spinning on checkpoint() all cancel once it
+// passes and the caller does not wait out the slowest worker.
+TEST(Pool, FannedOutLoopInheritsCallerDeadline) {
+  ScopedThreadCount guard(4);
+  using Clock = std::chrono::steady_clock;
+  std::atomic<int> started{0};
+  std::atomic<int> cancelled{0};
+  bool caller_cancelled = false;
+  double elapsed_ms = 0.0;
+  // A plain thread (not a pool worker), like an lvf2d dispatch thread.
+  std::thread caller([&] {
+    const Clock::time_point t0 = Clock::now();
+    core::DeadlineGuard deadline(5.0);
+    try {
+      parallel_for(8, 1, [&](std::size_t) {
+        started.fetch_add(1, std::memory_order_relaxed);
+        try {
+          while (Clock::now() - t0 < std::chrono::milliseconds(200)) {
+            core::checkpoint();
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+          }
+        } catch (const core::CancelledError&) {
+          cancelled.fetch_add(1, std::memory_order_relaxed);
+          throw;
+        }
+      });
+    } catch (const core::CancelledError&) {
+      caller_cancelled = true;
+    }
+    elapsed_ms =
+        std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+  });
+  caller.join();
+  EXPECT_TRUE(caller_cancelled);
+  EXPECT_LT(elapsed_ms, 100.0);
+  EXPECT_GE(started.load(), 1);
+  EXPECT_EQ(cancelled.load(), started.load());
 }
 
 // --- bitwise reproducibility of the parallelized hot loops ---------

@@ -10,6 +10,7 @@
 
 #include <sys/socket.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -224,7 +225,7 @@ TEST(ServeAdmission, WatermarkMarksShedAndFullRejects) {
 
   // The shed verdict is carried on the item itself.
   std::vector<bool> shed;
-  while (auto item = queue.try_pop()) shed.push_back(item->shed);
+  for (int i = 0; i < 4; ++i) shed.push_back(queue.pop()->shed);
   EXPECT_EQ(shed, (std::vector<bool>{false, false, true, true}));
 }
 
@@ -1058,6 +1059,59 @@ TEST(ServeServer, DrainRefusalsCarryTheRequestId) {
     EXPECT_NE(error.find("request "), std::string::npos) << body;
     EXPECT_NE(error.find("not admitted"), std::string::npos) << body;
   }
+}
+
+// Requests are served as they arrive: while connection A's slow
+// request holds one dispatch thread, connection B's ping runs on the
+// other and is answered first. Ordering-based: A must still be
+// unanswered when B's reply is in hand. A's chain runs serially, so
+// the machine's other cores stay free for B.
+TEST(ServeServer, SlowRequestDoesNotBlockOtherConnection) {
+  serve::ServerOptions options;
+  options.listen = "tcp:0";
+  options.max_inflight = 2;
+  options.characterize.grid = cells::SlewLoadGrid::reduced(4);
+  options.characterize.mc_samples = 160;
+  serve::Server server(std::move(options));
+  ASSERT_TRUE(server.start().is_ok());
+  const int fd_a = connect_tcp(server.tcp_port());
+  const int fd_b = connect_tcp(server.tcp_port());
+  ASSERT_GE(fd_a, 0);
+  ASSERT_GE(fd_b, 0);
+
+  obs::Gauge& inflight = obs::gauge("serve.inflight");
+  ASSERT_EQ(inflight.value(), 0.0);
+  ASSERT_TRUE(serve::write_frame(
+                  fd_a,
+                  R"({"id":1,"op":"path_ssta","params":{"cell":"INV_X1",)"
+                  R"("depth":64}})")
+                  .is_ok());
+  // A is being processed once the in-flight gauge rises.
+  for (int i = 0; i < 100000 && inflight.value() < 1.0; ++i) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  ASSERT_GE(inflight.value(), 1.0);
+
+  ASSERT_TRUE(
+      serve::write_frame(fd_b, R"({"id":2,"op":"ping","params":{}})").is_ok());
+  std::string reply;
+  ASSERT_TRUE(serve::read_frame(fd_b, reply).is_ok());
+  std::optional<obs::JsonValue> doc = obs::json_parse(reply);
+  ASSERT_TRUE(doc.has_value()) << reply;
+  EXPECT_EQ(doc->string_or("status", ""), "ok");
+  pollfd pending{fd_a, POLLIN, 0};
+  EXPECT_EQ(::poll(&pending, 1, 0), 0) << "A answered before B's ping";
+
+  ASSERT_TRUE(serve::read_frame(fd_a, reply).is_ok());
+  doc = obs::json_parse(reply);
+  ASSERT_TRUE(doc.has_value()) << reply;
+  EXPECT_DOUBLE_EQ(doc->number_or("id", 0.0), 1.0);
+  EXPECT_EQ(doc->string_or("status", ""), "ok");
+
+  server.request_stop();
+  server.wait();
+  ::close(fd_a);
+  ::close(fd_b);
 }
 
 TEST(ServeServer, OversizedFrameIsAnsweredAndConnectionClosed) {

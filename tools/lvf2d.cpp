@@ -7,7 +7,8 @@
 //   LVF2_SERVE=unix:<path>|tcp:<port>   listen address (required
 //                                       unless --listen is given)
 //   LVF2_DEADLINE_MS=<ms>               default per-request budget
-//   LVF2_MAX_INFLIGHT=<n>               concurrent dispatch width
+//   LVF2_MAX_INFLIGHT=<n>               dispatch threads (concurrent
+//                                       requests)
 //   LVF2_SERVE_QUEUE=<n>                admission queue capacity
 //   LVF2_SERVE_LRU=<n>                  hot-entry LRU capacity
 //   LVF2_SERVE_SAMPLES=<n>              MC samples per cold entry
