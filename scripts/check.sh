@@ -251,7 +251,7 @@ if [ "$PERF" = 1 ]; then
   # pair into BENCH_perf_micro.json (env -u LVF2_CACHE: any cache
   # setting, even =off, voids the cold-entry bench).
   env -u LVF2_CACHE LVF2_BENCH_JSON="$(pwd)" "$BUILD_DIR/bench/bench_perf" \
-    --benchmark_filter='BM_Disabled.*|BM_PoolTelemetryOverhead|BM_.*Kernel/.*|BM_SkewNormalMStep/.*|BM_CharacterizeEntryCold/.*' \
+    --benchmark_filter='BM_Disabled.*|BM_PoolTelemetryOverhead|BM_.*Kernel/.*|BM_SkewNormalMStep/.*|BM_CharacterizeEntryCold/.*|BM_FitModel/.*' \
     --benchmark_min_time=0.2 >"$PERF_DIR/bench_perf.txt" 2>&1 \
     || { cat "$PERF_DIR/bench_perf.txt"; exit 1; }
   [ -s BENCH_perf_micro.json ] \
@@ -300,6 +300,11 @@ mstep = ", ".join(
     f"{k[-1]}: {reg[k]:.0f} us / {reg[k + '_newton_iterations']:.1f} it"
     for k in sorted(reg) if k[:-1] == "BM_SkewNormalMStep_")
 print(f"ok: fused M-step kernel rows + M-step rows ({mstep})")
+# One fit per model family (LVF, Norm2, LESN, LVF2); the LESN row
+# tracks the Levenberg-Marquardt four-moment fit.
+for k in range(4):
+    assert f"BM_FitModel_{k}" in reg, f"no BM_FitModel_{k} row"
+print(f"ok: model fit rows (LESN {reg['BM_FitModel_2']:.3f} ms)")
 base = reg["BM_CharacterizeEntryCold_pre_simd_scalar_baseline_ms"]
 best = min(reg[k] for k in vec)
 print(f"ok: {len(kernel_rows)} kernel rows; cold entry best vector tier "

@@ -70,9 +70,9 @@ stats::SnMoments fit_lvf_moments(std::span<const double> samples) {
 }
 
 // QoR attribution of one table entry for the run manifest: the
-// delay samples are re-assessed against all four models (the extra
-// fits are the price of attribution, and only paid when
-// LVF2_MANIFEST armed a manifest). Returned instead of recorded
+// delay samples are re-assessed against all four models, reusing the
+// entry's own LVF2 delay fit (the three baseline fits are the price
+// of attribution, and only paid when LVF2_MANIFEST armed a manifest). Returned instead of recorded
 // directly so the result cache can store the row alongside the entry
 // and replay it bitwise on a warm run.
 obs::ArcQor manifest_entry_qor(const std::string& cell,
@@ -80,9 +80,10 @@ obs::ArcQor manifest_entry_qor(const std::string& cell,
                                std::size_t slew_idx,
                                std::span<const double> delay_samples,
                                const core::FitOptions& fit,
+                               const core::Lvf2Model* lvf2,
                                const core::EmReport& report) {
   const core::ModelEvaluation eval =
-      core::evaluate_models(delay_samples, fit);
+      core::evaluate_models(delay_samples, fit, lvf2);
   obs::ArcQor row = core::to_arc_qor(eval);
   row.table = "characterize";
   row.cell = cell;
@@ -280,10 +281,9 @@ ConditionCharacterization Characterizer::characterize_entry(
 
     cc.lvf_delay = fit_lvf_moments(mc.delay_ns);
     cc.lvf_transition = fit_lvf_moments(mc.transition_ns);
-    if (auto m = core::Lvf2Model::fit(mc.delay_ns, fit,
-                                      &cc.lvf2_delay_report)) {
-      cc.lvf2_delay = m->parameters();
-    }
+    const std::optional<core::Lvf2Model> lvf2_delay =
+        core::Lvf2Model::fit(mc.delay_ns, fit, &cc.lvf2_delay_report);
+    if (lvf2_delay) cc.lvf2_delay = lvf2_delay->parameters();
     audit_fit_report(cc.lvf2_delay_report, cell.name, arc_label, load_idx,
                      slew_idx, "delay");
     if (auto m = core::Lvf2Model::fit(mc.transition_ns, fit,
@@ -293,8 +293,9 @@ ConditionCharacterization Characterizer::characterize_entry(
     audit_fit_report(cc.lvf2_transition_report, cell.name, arc_label,
                      load_idx, slew_idx, "transition");
     if (obs::manifest_enabled()) {
-      qor_row = manifest_entry_qor(cell.name, arc_label, load_idx, slew_idx,
-                                   mc.delay_ns, fit, cc.lvf2_delay_report);
+      qor_row = manifest_entry_qor(
+          cell.name, arc_label, load_idx, slew_idx, mc.delay_ns, fit,
+          lvf2_delay ? &*lvf2_delay : nullptr, cc.lvf2_delay_report);
       obs::ManifestRecorder::instance().add_arc(*qor_row);
     }
   } catch (const core::CancelledError&) {

@@ -97,10 +97,11 @@ const ModelErrorReduction& ModelEvaluation::reduction_of(
 }
 
 ModelEvaluation evaluate_models(std::span<const double> samples,
-                                const FitOptions& options) {
+                                const FitOptions& options,
+                                const Lvf2Model* fitted_lvf2) {
   ModelEvaluation eval;
   eval.golden_moments = stats::compute_moments(samples);
-  eval.models = fit_all_models(samples, options);
+  eval.models = fit_all_models(samples, options, fitted_lvf2);
 
   const stats::EmpiricalCdf golden(samples);
   const std::vector<double> boundaries = sigma_bin_boundaries(

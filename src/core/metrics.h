@@ -18,6 +18,8 @@
 
 namespace lvf2::core {
 
+class Lvf2Model;
+
 /// Root-mean-square error between a model CDF and the golden
 /// empirical CDF, evaluated on `points` uniformly spaced points over
 /// the central golden range [q(eps), q(1-eps)].
@@ -65,11 +67,15 @@ struct ModelEvaluation {
 };
 
 /// Fits all four models to `samples` and computes every metric and
-/// its error reduction vs LVF. Every evaluation also streams the
-/// LVF2 raw errors into the qor.cdf_rmse / qor.binning_err /
-/// qor.yield_err histograms of the process metrics registry.
+/// its error reduction vs LVF. A non-null `fitted_lvf2` is the LVF2
+/// model the caller already fitted to `samples` with `options`; it is
+/// assessed instead of a refit (fit_all_models). Every evaluation
+/// also streams the LVF2 raw errors into the qor.cdf_rmse /
+/// qor.binning_err / qor.yield_err histograms of the process metrics
+/// registry.
 ModelEvaluation evaluate_models(std::span<const double> samples,
-                                const FitOptions& options = {});
+                                const FitOptions& options = {},
+                                const Lvf2Model* fitted_lvf2 = nullptr);
 
 /// Converts an evaluation into a run-manifest QoR row: golden
 /// moments plus the four models' raw errors and error-reduction

@@ -69,7 +69,8 @@ std::unique_ptr<TimingModel> refit_model(ModelKind kind,
 }
 
 std::vector<std::unique_ptr<TimingModel>> fit_all_models(
-    std::span<const double> samples, const FitOptions& options) {
+    std::span<const double> samples, const FitOptions& options,
+    const Lvf2Model* fitted_lvf2) {
   // The four fits are independent (each is a pure function of the
   // samples and options), so they fan out across the pool; slot
   // writes keep the kind ordering, making the result identical to a
@@ -77,7 +78,12 @@ std::vector<std::unique_ptr<TimingModel>> fit_all_models(
   const auto kinds = all_model_kinds();
   return exec::parallel_map<std::unique_ptr<TimingModel>>(
       kinds.size(),
-      [&](std::size_t i) { return fit_model(kinds[i], samples, options); });
+      [&](std::size_t i) -> std::unique_ptr<TimingModel> {
+        if (fitted_lvf2 != nullptr && kinds[i] == ModelKind::kLvf2) {
+          return std::make_unique<Lvf2Model>(*fitted_lvf2);
+        }
+        return fit_model(kinds[i], samples, options);
+      });
 }
 
 }  // namespace lvf2::core

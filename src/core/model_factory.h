@@ -16,10 +16,15 @@ std::unique_ptr<TimingModel> fit_model(ModelKind kind,
                                        std::span<const double> samples,
                                        const FitOptions& options = {});
 
+class Lvf2Model;
+
 /// Fits all four models (paper order: LVF2, Norm2, LESN, LVF).
-/// Entries for models that failed to fit are nullptr.
+/// Entries for models that failed to fit are nullptr. A non-null
+/// `fitted_lvf2` (already fitted to `samples` with `options`) fills
+/// the LVF2 slot in place of a second, identical fit.
 std::vector<std::unique_ptr<TimingModel>> fit_all_models(
-    std::span<const double> samples, const FitOptions& options = {});
+    std::span<const double> samples, const FitOptions& options = {},
+    const Lvf2Model* fitted_lvf2 = nullptr);
 
 /// Refits a model family to a tabulated distribution — the node
 /// refit of block-based SSTA, which maintains each model's

@@ -155,51 +155,4 @@ double ExtendedSkewNormal::kurtosis() const {
   return 3.0 + k.k4 / (k.k2 * k.k2);
 }
 
-std::optional<ExtendedSkewNormal> ExtendedSkewNormal::fit_moments(
-    const Moments& target) {
-  if (target.count == 0 || !(target.stddev > 0.0)) return std::nullopt;
-
-  // Match (skewness, kurtosis) over the shape pair; parameterize
-  // delta = tanh(u) to stay in (-1, 1).
-  const auto shape_objective = [&](std::span<const double> p) {
-    const double delta = std::tanh(p[0]);
-    const double tau = std::clamp(p[1], -30.0, 30.0);
-    const EsnCumulants k = cumulants(delta, tau);
-    if (!(k.k2 > 1e-10)) return std::numeric_limits<double>::infinity();
-    const double skew = k.k3 / std::pow(k.k2, 1.5);
-    const double kurt = 3.0 + k.k4 / (k.k2 * k.k2);
-    const double es = skew - target.skewness;
-    const double ek = kurt - target.kurtosis;
-    return es * es + 0.25 * ek * ek;
-  };
-
-  // Multi-start over a small grid of (delta, tau) seeds.
-  MinimizeResult best;
-  best.value = std::numeric_limits<double>::infinity();
-  const double seed_deltas[] = {-0.9, -0.5, 0.0, 0.5, 0.9};
-  const double seed_taus[] = {-4.0, -1.0, 0.0, 1.0, 4.0};
-  NelderMeadOptions options;
-  options.max_evaluations = 600;
-  options.initial_step = 0.5;
-  for (double sd : seed_deltas) {
-    for (double st : seed_taus) {
-      const double x0[2] = {std::atanh(sd * 0.999), st};
-      MinimizeResult r = nelder_mead(shape_objective, x0, options);
-      if (r.value < best.value) best = std::move(r);
-    }
-  }
-  if (best.x.size() != 2) return std::nullopt;
-
-  const double delta = std::tanh(best.x[0]);
-  const double tau = std::clamp(best.x[1], -30.0, 30.0);
-  const EsnCumulants k = cumulants(delta, tau);
-  if (!(k.k2 > 1e-10)) return std::nullopt;
-  const double omega = target.stddev / std::sqrt(k.k2);
-  const double xi = target.mean - omega * k.k1;
-  const double d2 = 1.0 - delta * delta;
-  const double alpha =
-      (d2 <= 0.0) ? std::copysign(1e8, delta) : delta / std::sqrt(d2);
-  return ExtendedSkewNormal(xi, omega, alpha, tau);
-}
-
 }  // namespace lvf2::stats

@@ -11,9 +11,8 @@
 // which is what makes kurtosis matching (the LESN baseline, paper
 // ref. [7]) practical.
 
-#include <optional>
+#include <span>
 
-#include "stats/descriptive.h"
 #include "stats/rng.h"
 
 namespace lvf2::stats {
@@ -52,12 +51,6 @@ class ExtendedSkewNormal {
   double stddev() const;
   double skewness() const;
   double kurtosis() const;  ///< fourth standardized moment
-
-  /// Fits (xi, omega, alpha, tau) by matching the first four sample
-  /// moments (mean, stddev, skewness, kurtosis) with Nelder-Mead on
-  /// the shape pair, solving location/scale in closed form. Returns
-  /// nullopt for degenerate input.
-  static std::optional<ExtendedSkewNormal> fit_moments(const Moments& target);
 
  private:
   double xi_ = 0.0;

@@ -83,74 +83,119 @@ double LogExtendedSkewNormal::sample(Rng& rng) const {
 
 namespace {
 
-// log E[X^k] for X = exp(xi + omega Z_esn(delta, tau)).
-double log_raw_moment(double xi, double omega, double delta, double tau,
-                      int k) {
-  const double t = static_cast<double>(k);
-  return t * xi + 0.5 * t * t * omega * omega +
-         normal_log_cdf(tau + delta * t * omega) - normal_log_cdf(tau);
+// log E[X] for X = exp(omega Z_esn(delta, tau)).
+double log_mean(double omega, double delta, double tau) {
+  return 0.5 * omega * omega + normal_log_cdf(tau + delta * omega) -
+         normal_log_cdf(tau);
 }
 
-struct LesnShapeStats {
-  double cv;        // stddev / mean
-  double skewness;
-  double kurtosis;
-  bool valid = false;
+// log Phi(x) and zeta1(x) = phi(x) / Phi(x) from one erfc. For x > 0,
+// log Phi goes through log1p of the upper tail, which keeps the full
+// relative precision of the tiny log Phi values there.
+void log_cdf_and_mills(double x, double& log_cdf, double& mills) {
+  if (x < -36.5) {  // Phi underflows: the asymptotic forms
+    log_cdf = normal_log_cdf(x);
+    mills = zeta1(x);
+    return;
+  }
+  const double upper = (x > 0.0) ? normal_cdf(-x) : 0.0;
+  const double cdf = (x > 0.0) ? 1.0 - upper : normal_cdf(x);
+  log_cdf = (x > 0.0) ? std::log1p(-upper) : std::log(cdf);
+  mills = normal_pdf(x) / cdf;
+}
+
+// Shape statistics of X = exp(omega Z_esn(delta, tau)):
+// stat = (log cv^2, skewness, kurtosis), and
+// grad[i][j] = d stat[i] / d p_j for p = (log omega, atanh delta, tau).
+// The central moments E[(X/mu - 1)^m] = sum_k B[m][k] expm1(a_k) come
+// from the log moment ratios
+//   a_k = log(E[X^k] / E[X]^k)
+//       = k(k-1) omega^2 / 2 + log Phi(tau + k s) - k log Phi(tau + s)
+//         + (k-1) log Phi(tau),            s = delta omega,
+// so no O(1) raw moments cancel: at cv = 0.01 the fourth central
+// moment keeps ~12 digits instead of ~8. d log Phi(x) / dx = zeta1(x)
+// gives the gradient.
+struct LesnShape {
+  double stat[3];
+  double grad[3][3];
 };
 
-LesnShapeStats shape_stats(double omega, double delta, double tau) {
-  LesnShapeStats s;
-  // Evaluate with xi = 0; cv/skewness/kurtosis are scale invariant.
-  double m[5] = {1.0, 0.0, 0.0, 0.0, 0.0};
-  for (int k = 1; k <= 4; ++k) {
-    const double lm = log_raw_moment(0.0, omega, delta, tau, k);
-    if (!std::isfinite(lm) || lm > 300.0) return s;
-    m[k] = std::exp(lm);
+LesnShape lesn_shape(double omega, double delta, double tau) {
+  // B: binomial expansion of the m = 2, 3, 4 central moments over
+  // k = 2, 3, 4 (the constant terms cancel).
+  static constexpr double kBinomial[3][3] = {
+      {1.0, 0.0, 0.0}, {-3.0, 1.0, 0.0}, {6.0, -4.0, 1.0}};
+  const double s = delta * omega;
+  double log_cdf[5];
+  double mills[5];
+  for (int k = 0; k <= 4; ++k) {
+    log_cdf_and_mills(tau + k * s, log_cdf[k], mills[k]);
   }
-  const double var = m[2] - m[1] * m[1];
-  if (!(var > 0.0)) return s;
-  const double sd = std::sqrt(var);
-  const double mu = m[1];
-  const double m3 = m[3] - 3.0 * mu * m[2] + 2.0 * mu * mu * mu;
-  const double m4 = m[4] - 4.0 * mu * m[3] + 6.0 * mu * mu * m[2] -
-                    3.0 * mu * mu * mu * mu;
-  s.cv = sd / mu;
-  s.skewness = m3 / (var * sd);
-  s.kurtosis = m4 / (var * var);
-  s.valid = std::isfinite(s.skewness) && std::isfinite(s.kurtosis);
-  return s;
+  double c[3] = {};
+  double dc[3][3] = {};
+  for (int k = 2; k <= 4; ++k) {
+    const double t = static_cast<double>(k);
+    const double e = std::expm1(0.5 * t * (t - 1.0) * omega * omega +
+                                log_cdf[k] - t * log_cdf[1] +
+                                (t - 1.0) * log_cdf[0]);
+    const double ratio = 1.0 + e;  // E[X^k] / E[X]^k
+    const double dmills = mills[k] - mills[1];
+    const double de[3] = {
+        ratio * (t * (t - 1.0) * omega * omega + t * s * dmills),
+        ratio * (1.0 - delta * delta) * omega * t * dmills,
+        ratio * (dmills - (t - 1.0) * (mills[1] - mills[0]))};
+    for (int m = 0; m < 3; ++m) {
+      c[m] += kBinomial[m][k - 2] * e;
+      for (int j = 0; j < 3; ++j) dc[m][j] += kBinomial[m][k - 2] * de[j];
+    }
+  }
+  const double sd3 = c[0] * std::sqrt(c[0]);
+  LesnShape shape{{std::log(c[0]), c[1] / sd3, c[2] / (c[0] * c[0])}, {}};
+  for (int j = 0; j < 3; ++j) {
+    const double dlog_var = dc[0][j] / c[0];
+    shape.grad[0][j] = dlog_var;
+    shape.grad[1][j] = dc[1][j] / sd3 - 1.5 * shape.stat[1] * dlog_var;
+    shape.grad[2][j] =
+        dc[2][j] / (c[0] * c[0]) - 2.0 * shape.stat[2] * dlog_var;
+  }
+  return shape;
 }
+
+LesnShape lesn_shape(const ExtendedSkewNormal& esn) {
+  return lesn_shape(esn.omega(), esn.delta(), esn.tau());
+}
+
+// Four-moment fit controls. tau is kept in [-kMaxTau, kMaxTau] (the
+// log-ESN is a log-normal to double precision beyond +30). A
+// Levenberg-Marquardt run stops after kFitIterations steps, on an
+// accepted move below kFitMinStep, or once the damping passes
+// kFitMaxDamping; the starts stop early at a cost below kExactFit.
+constexpr double kMaxTau = 30.0;
+constexpr int kFitIterations = 200;
+constexpr double kFitMinStep = 1e-12;
+constexpr double kFitMaxDamping = 1e12;
+constexpr double kExactFit = 1e-20;
 
 }  // namespace
 
-double LogExtendedSkewNormal::raw_moment(int k) const {
-  return std::exp(log_raw_moment(esn_.xi(), esn_.omega(), esn_.delta(),
-                                 esn_.tau(), k));
+double LogExtendedSkewNormal::mean() const {
+  return std::exp(esn_.xi() +
+                  log_mean(esn_.omega(), esn_.delta(), esn_.tau()));
 }
 
-double LogExtendedSkewNormal::mean() const { return raw_moment(1); }
-
 double LogExtendedSkewNormal::variance() const {
-  const double m1 = raw_moment(1);
-  return raw_moment(2) - m1 * m1;
+  const double mu = mean();
+  return mu * mu * std::exp(lesn_shape(esn_).stat[0]);
 }
 
 double LogExtendedSkewNormal::stddev() const { return std::sqrt(variance()); }
 
 double LogExtendedSkewNormal::skewness() const {
-  const double mu = raw_moment(1);
-  const double var = variance();
-  const double m3 =
-      raw_moment(3) - 3.0 * mu * raw_moment(2) + 2.0 * mu * mu * mu;
-  return m3 / (var * std::sqrt(var));
+  return lesn_shape(esn_).stat[1];
 }
 
 double LogExtendedSkewNormal::kurtosis() const {
-  const double mu = raw_moment(1);
-  const double var = variance();
-  const double m4 = raw_moment(4) - 4.0 * mu * raw_moment(3) +
-                    6.0 * mu * mu * raw_moment(2) - 3.0 * mu * mu * mu * mu;
-  return m4 / (var * var);
+  return lesn_shape(esn_).stat[2];
 }
 
 std::optional<LogExtendedSkewNormal> LogExtendedSkewNormal::fit_moments(
@@ -158,46 +203,93 @@ std::optional<LogExtendedSkewNormal> LogExtendedSkewNormal::fit_moments(
   if (target.count == 0 || !(target.mean > 0.0) || !(target.stddev > 0.0)) {
     return std::nullopt;
   }
-  const double target_cv = target.stddev / target.mean;
 
-  // Shape search over p = (log omega, atanh delta, tau).
-  const auto objective = [&](std::span<const double> p) {
-    const double omega = std::exp(std::clamp(p[0], -12.0, 1.0));
-    const double delta = std::tanh(p[1]);
-    const double tau = std::clamp(p[2], -30.0, 30.0);
-    const LesnShapeStats s = shape_stats(omega, delta, tau);
-    if (!s.valid) return std::numeric_limits<double>::infinity();
-    const double ecv = std::log(s.cv / target_cv);
-    const double es = s.skewness - target.skewness;
-    const double ek = s.kurtosis - target.kurtosis;
-    return 4.0 * ecv * ecv + es * es + 0.25 * ek * ek;
+  // At p = (log omega, atanh delta, tau): the residuals
+  // r = (2 log(cv / cv*), skew - skew*, (kurt - kurt*) / 2), the
+  // gradient rows grad[j] = d r / d p_j, and the cost |r|^2 (infinite
+  // where the moments are not finite).
+  struct Point {
+    double p[3];
+    double r[3] = {};
+    double grad[3][3] = {};
+    double cost = std::numeric_limits<double>::infinity();
+  };
+  const auto dot = [](const double (&u)[3], const double (&v)[3]) {
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2];
+  };
+  const double goal[3] = {2.0 * std::log(target.stddev / target.mean),
+                          target.skewness, target.kurtosis};
+  const auto evaluate = [&](Point& x) {
+    const LesnShape s =
+        lesn_shape(std::exp(x.p[0]), std::tanh(x.p[1]), x.p[2]);
+    for (int i = 0; i < 3; ++i) {
+      const double weight = (i == 2) ? 0.5 : 1.0;
+      x.r[i] = weight * (s.stat[i] - goal[i]);
+      for (int j = 0; j < 3; ++j) x.grad[j][i] = weight * s.grad[i][j];
+    }
+    x.cost = dot(x.r, x.r);
+    if (!std::isfinite(x.cost)) {
+      x.cost = std::numeric_limits<double>::infinity();
+    }
   };
 
-  MinimizeResult best;
-  best.value = std::numeric_limits<double>::infinity();
-  NelderMeadOptions options;
-  options.max_evaluations = 800;
-  options.initial_step = 0.4;
-  const double log_cv = std::log(std::max(target_cv, 1e-8));
-  const double seed_deltas[] = {-0.9, 0.0, 0.9};
-  const double seed_taus[] = {-3.0, 0.0, 3.0};
-  for (double sd : seed_deltas) {
-    for (double st : seed_taus) {
-      const double x0[3] = {log_cv, std::atanh(sd * 0.999), st};
-      MinimizeResult r = nelder_mead(objective, x0, options);
-      if (r.value < best.value) best = std::move(r);
+  // Levenberg-Marquardt from one start: solve
+  // (J^T J + mu diag(J^T J)) d = -J^T r; a step that lowers the cost is
+  // taken (mu / 10), one that does not is retried with mu * 10. tau on
+  // the box edge with the step pushing outward is held there, and a
+  // step leaving the box is cut at its edge.
+  const auto descend = [&](Point x) {
+    evaluate(x);
+    double mu = 1e-3;
+    for (int it = 0; it < kFitIterations && x.cost > 0.0; ++it) {
+      double jtj[6] = {dot(x.grad[0], x.grad[0]), dot(x.grad[0], x.grad[1]),
+                       dot(x.grad[0], x.grad[2]), dot(x.grad[1], x.grad[1]),
+                       dot(x.grad[1], x.grad[2]), dot(x.grad[2], x.grad[2])};
+      for (const int k : {0, 3, 5}) jtj[k] *= 1.0 + mu;
+      double rhs[3] = {-dot(x.grad[0], x.r), -dot(x.grad[1], x.r),
+                       -dot(x.grad[2], x.r)};
+      double d[3];
+      if (!solve_damped_spd(jtj, rhs, d)) break;
+      if (std::fabs(x.p[2]) >= kMaxTau && d[2] * x.p[2] > 0.0) {
+        jtj[2] = jtj[4] = rhs[2] = 0.0;
+        jtj[5] = 1.0;
+        if (!solve_damped_spd(jtj, rhs, d)) break;
+      }
+      const bool cut = std::fabs(x.p[2] + d[2]) > kMaxTau;
+      const double t =
+          cut ? (std::copysign(kMaxTau, d[2]) - x.p[2]) / d[2] : 1.0;
+      Point trial;
+      for (int j = 0; j < 3; ++j) trial.p[j] = x.p[j] + t * d[j];
+      if (cut) trial.p[2] = std::copysign(kMaxTau, d[2]);
+      evaluate(trial);
+      if (trial.cost < x.cost) {
+        const double moved =
+            t * std::max({std::fabs(d[0]), std::fabs(d[1]), std::fabs(d[2])});
+        x = trial;
+        mu = std::max(mu / 10.0, 1e-12);
+        if (moved < kFitMinStep) break;
+      } else if ((mu *= 10.0) > kFitMaxDamping) {
+        break;
+      }
+    }
+    return x;
+  };
+
+  Point best{};
+  for (const double delta0 : {0.9, -0.9}) {
+    for (const double tau0 : {0.0, -3.0, 3.0}) {
+      if (best.cost < kExactFit) break;
+      const Point end = descend({{0.5 * goal[0], std::atanh(delta0), tau0}});
+      if (end.cost < best.cost) best = end;
     }
   }
-  if (best.x.size() != 3 || !std::isfinite(best.value)) return std::nullopt;
+  if (!std::isfinite(best.cost)) return std::nullopt;
 
-  const double omega = std::exp(std::clamp(best.x[0], -12.0, 1.0));
-  const double delta = std::tanh(best.x[1]);
-  const double tau = std::clamp(best.x[2], -30.0, 30.0);
-  const LesnShapeStats s = shape_stats(omega, delta, tau);
-  if (!s.valid) return std::nullopt;
+  const double omega = std::exp(best.p[0]);
+  const double delta = std::tanh(best.p[1]);
+  const double tau = best.p[2];
   // Scale xi so the mean matches exactly.
-  const double mean0 = std::exp(log_raw_moment(0.0, omega, delta, tau, 1));
-  const double xi = std::log(target.mean / mean0);
+  const double xi = std::log(target.mean) - log_mean(omega, delta, tau);
   const double d2 = 1.0 - delta * delta;
   const double alpha =
       (d2 <= 0.0) ? std::copysign(1e8, delta) : delta / std::sqrt(d2);

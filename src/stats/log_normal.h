@@ -56,17 +56,18 @@ class LogExtendedSkewNormal {
   double quantile(double p) const;
   double sample(Rng& rng) const;
 
-  /// k-th raw moment E[X^k] (closed form).
-  double raw_moment(int k) const;
   double mean() const;
   double variance() const;
   double stddev() const;
   double skewness() const;
   double kurtosis() const;
 
-  /// Fits by matching (mean, stddev, skewness, kurtosis). The target
-  /// mean must be positive (delays / transition times are). Returns
-  /// nullopt when the shape search fails to produce finite moments.
+  /// Fits by matching (mean, stddev, skewness, kurtosis): the shape
+  /// (omega, alpha, tau) by Levenberg-Marquardt least squares on the
+  /// cv, skewness and kurtosis from six starts, xi in closed form so
+  /// the mean matches exactly. The target mean must be positive
+  /// (delays / transition times are). Returns nullopt when no start
+  /// reaches finite moments.
   static std::optional<LogExtendedSkewNormal> fit_moments(
       const Moments& target);
 

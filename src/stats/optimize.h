@@ -1,46 +1,28 @@
 #pragma once
-// Derivative-free optimizers used by the model fits:
-//  - Nelder-Mead simplex (multi-dimensional) for the ESN and log-ESN
-//    shape fits,
-//  - bisection root finding (1-D) for quantile inversion (ESN and
+// The numerical solvers shared by the model fits: one family, Newton
+// steps with Levenberg-Marquardt damping plus bracketed bisection.
+//  - solve_damped_spd: the 3x3 Newton / Gauss-Newton system of the
+//    skew-normal M-step and the log-ESN four-moment fit,
+//  - bisect_root: 1-D root finding for quantile inversion (ESN and
 //    mixture quantiles).
 
+#include <cstddef>
 #include <functional>
-#include <span>
-#include <vector>
 
 namespace lvf2::stats {
 
-/// Result of a multi-dimensional minimization.
-struct MinimizeResult {
-  std::vector<double> x;       ///< best point found
-  double value = 0.0;          ///< objective at `x`
-  std::size_t evaluations = 0;
-  bool converged = false;
-};
-
-/// Nelder-Mead options. Defaults tuned for 3-4 parameter likelihood
-/// maximizations where the objective costs O(bins) per evaluation.
-struct NelderMeadOptions {
-  std::size_t max_evaluations = 2000;
-  double x_tolerance = 1e-9;     ///< simplex size stop criterion
-  double f_tolerance = 1e-12;    ///< spread of objective values
-  double initial_step = 0.1;     ///< per-coordinate simplex extent
-};
-
-/// Minimizes `f` starting from `x0` with the Nelder-Mead simplex
-/// method (adaptive coefficients per Gao & Han 2012 for dim > 2).
-/// Non-finite objective values are treated as +infinity, which lets
-/// callers express hard constraints by returning NaN/inf.
-MinimizeResult nelder_mead(const std::function<double(std::span<const double>)>& f,
-                           std::span<const double> x0,
-                           const NelderMeadOptions& options = {});
+/// Solves A d = b for a symmetric 3x3 A (packed xx, xy, xz, yy, yz,
+/// zz) by Cholesky. When A is not numerically positive definite
+/// (a pivot at or below 1e-12 of its diagonal entry), retries with
+/// Levenberg-Marquardt damping A_kk += mu |A_kk| (mu on a zero
+/// diagonal) for mu = 1e-4, 1e-3, ..., 1e8. Returns false when no
+/// damping level gives a finite solution.
+bool solve_damped_spd(const double (&a)[6], const double (&b)[3],
+                      double (&d)[3]);
 
 /// Result of a 1-D root find.
 struct ScalarResult {
   double x = 0.0;
-  double value = 0.0;
-  std::size_t evaluations = 0;
   bool converged = false;
 };
 

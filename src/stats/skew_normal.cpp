@@ -8,6 +8,7 @@
 
 #include "obs/metrics.h"
 #include "simd/simd.h"
+#include "stats/optimize.h"
 #include "stats/special_functions.h"
 
 namespace lvf2::stats {
@@ -43,31 +44,6 @@ double delta_of_skewness(double gamma) {
 constexpr double kMleRelativeMove = 1e-7;
 constexpr int kMleMaxHalvings = 30;
 constexpr double kMaxAlpha = 1e6;
-
-// Solves A d = b for a symmetric 3x3 A (packed xx, xy, xz, yy, yz, zz)
-// by Cholesky. Returns false unless A is numerically positive definite
-// (every pivot above 1e-12 of its diagonal entry).
-bool solve_spd(const double (&a)[6], const double (&b)[3], double (&d)[3]) {
-  const auto pivot = [](double v, double diag) {
-    return (v > 1e-12 * diag) ? std::sqrt(v) : 0.0;
-  };
-  const double l00 = pivot(a[0], a[0]);
-  if (l00 == 0.0) return false;
-  const double l10 = a[1] / l00;
-  const double l20 = a[2] / l00;
-  const double l11 = pivot(a[3] - l10 * l10, a[3]);
-  if (l11 == 0.0) return false;
-  const double l21 = (a[4] - l20 * l10) / l11;
-  const double l22 = pivot(a[5] - l20 * l20 - l21 * l21, a[5]);
-  if (l22 == 0.0) return false;
-  const double y0 = b[0] / l00;
-  const double y1 = (b[1] - l10 * y0) / l11;
-  const double y2 = (b[2] - l20 * y0 - l21 * y1) / l22;
-  d[2] = y2 / l22;
-  d[1] = (y1 - l21 * d[2]) / l11;
-  d[0] = (y0 - l10 * d[1] - l20 * d[2]) / l00;
-  return std::isfinite(d[0]) && std::isfinite(d[1]) && std::isfinite(d[2]);
-}
 
 }  // namespace
 
@@ -242,25 +218,12 @@ std::optional<SkewNormal> SkewNormal::fit_weighted_mle(
   };
   while (rep.iterations < max_iterations) {
     ++rep.iterations;
-    // Newton direction for the NLL: solve (-H) d = score.
+    // Newton direction for the NLL: solve (-H) d = score, with
+    // Levenberg-Marquardt damping where H is not negative definite.
     double neg_h[6];
     for (int k = 0; k < 6; ++k) neg_h[k] = -at.hessian[k];
     double d[3];
-    if (!solve_spd(neg_h, at.score, d)) {
-      // Not negative definite: Levenberg-Marquardt damping on the
-      // diagonal until the damped system is positive definite.
-      bool solved = false;
-      for (double mu = 1e-4; mu <= 1e8 && !solved; mu *= 10.0) {
-        double damped[6];
-        std::copy(neg_h, neg_h + 6, damped);
-        for (const int k : {0, 3, 5}) {
-          damped[k] += mu * (std::fabs(neg_h[k]) > 0.0 ? std::fabs(neg_h[k])
-                                                       : 1.0);
-        }
-        solved = solve_spd(damped, at.score, d);
-      }
-      if (!solved) break;
-    }
+    if (!solve_damped_spd(neg_h, at.score, d)) break;
     if (!(move(d) >= kMleRelativeMove)) break;  // converged (or NaN)
     // Backtracking: halve until the weighted NLL does not increase,
     // giving up once the step is itself below the stopping move (a

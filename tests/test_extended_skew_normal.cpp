@@ -95,44 +95,6 @@ TEST(ExtendedSkewNormal, RejectsInvalidParameters) {
                std::invalid_argument);
 }
 
-TEST(ExtendedSkewNormal, FitMomentsRecoversShape) {
-  const ExtendedSkewNormal truth(1.0, 0.5, 3.0, 1.0);
-  Moments target;
-  target.count = 1000;
-  target.mean = truth.mean();
-  target.stddev = truth.stddev();
-  target.skewness = truth.skewness();
-  target.kurtosis = truth.kurtosis();
-  const auto fit = ExtendedSkewNormal::fit_moments(target);
-  ASSERT_TRUE(fit.has_value());
-  EXPECT_NEAR(fit->mean(), target.mean, 1e-6);
-  EXPECT_NEAR(fit->stddev(), target.stddev, 1e-6);
-  EXPECT_NEAR(fit->skewness(), target.skewness, 0.01);
-  EXPECT_NEAR(fit->kurtosis(), target.kurtosis, 0.05);
-}
-
-TEST(ExtendedSkewNormal, FitMomentsGaussianTarget) {
-  Moments target;
-  target.count = 1000;
-  target.mean = 5.0;
-  target.stddev = 2.0;
-  target.skewness = 0.0;
-  target.kurtosis = 3.0;
-  const auto fit = ExtendedSkewNormal::fit_moments(target);
-  ASSERT_TRUE(fit.has_value());
-  EXPECT_NEAR(fit->mean(), 5.0, 1e-6);
-  EXPECT_NEAR(fit->stddev(), 2.0, 1e-6);
-  EXPECT_NEAR(fit->skewness(), 0.0, 0.01);
-}
-
-TEST(ExtendedSkewNormal, FitMomentsDegenerateReturnsNull) {
-  Moments target;  // count == 0
-  EXPECT_FALSE(ExtendedSkewNormal::fit_moments(target).has_value());
-  target.count = 10;
-  target.stddev = 0.0;
-  EXPECT_FALSE(ExtendedSkewNormal::fit_moments(target).has_value());
-}
-
 TEST(ExtendedSkewNormal, NegativeTauIncreasesSkewRange) {
   // Hidden truncation deep below the mean (tau << 0) approaches a
   // half-normal-like shape whose skewness exceeds the SN bound.

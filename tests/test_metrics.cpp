@@ -3,11 +3,13 @@
 // reduction, plus the evaluate_models aggregate.
 
 #include <cmath>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/binning.h"
+#include "core/lvf2_model.h"
 #include "core/lvf_model.h"
 #include "core/metrics.h"
 #include "core/yield.h"
@@ -188,6 +190,36 @@ TEST(EvaluateModels, Lvf2WinsOnBimodalData) {
   EXPECT_GT(lvf2.cdf_rmse, 2.0);
   // Norm2 should also beat LVF on this purely Gaussian mixture.
   EXPECT_GT(eval.reduction_of(ModelKind::kNorm2).binning, 2.0);
+}
+
+// The manifest QoR pass hands evaluate_models the LVF2 model the
+// characterize entry already fitted; with the same samples and options
+// every error and reduction is bitwise the evaluation's own refit.
+TEST(EvaluateModels, ReusedLvf2MatchesOwnFit) {
+  stats::Rng rng(test::test_seed(9));
+  std::vector<double> xs(4000);
+  for (auto& x : xs) {
+    x = (rng.uniform() < 0.35) ? rng.normal(0.13, 0.009)
+                               : rng.normal(0.10, 0.007);
+  }
+  FitOptions options;
+  options.seed = 0x51;
+  const std::optional<Lvf2Model> fitted = Lvf2Model::fit(xs, options);
+  ASSERT_TRUE(fitted.has_value());
+  const ModelEvaluation own = evaluate_models(xs, options);
+  const ModelEvaluation reused = evaluate_models(xs, options, &*fitted);
+  ASSERT_NE(reused.model(ModelKind::kLvf2), nullptr);
+  for (std::size_t i = 0; i < own.errors.size(); ++i) {
+    EXPECT_EQ(reused.errors[i].binning, own.errors[i].binning) << i;
+    EXPECT_EQ(reused.errors[i].yield_3sigma, own.errors[i].yield_3sigma) << i;
+    EXPECT_EQ(reused.errors[i].cdf_rmse, own.errors[i].cdf_rmse) << i;
+    EXPECT_EQ(reused.reductions[i].binning, own.reductions[i].binning) << i;
+    EXPECT_EQ(reused.reductions[i].yield_3sigma,
+              own.reductions[i].yield_3sigma)
+        << i;
+    EXPECT_EQ(reused.reductions[i].cdf_rmse, own.reductions[i].cdf_rmse)
+        << i;
+  }
 }
 
 }  // namespace

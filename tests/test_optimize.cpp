@@ -1,8 +1,8 @@
-// Tests of the derivative-free optimizers: Nelder-Mead on standard
-// test functions and bisection root finding.
+// Tests of the shared solvers: the damped 3x3 SPD solve and
+// bisection root finding.
 
 #include <cmath>
-#include <span>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -11,85 +11,33 @@
 namespace lvf2::stats {
 namespace {
 
-TEST(NelderMead, QuadraticBowl2D) {
-  const auto f = [](std::span<const double> x) {
-    return (x[0] - 3.0) * (x[0] - 3.0) + 2.0 * (x[1] + 1.0) * (x[1] + 1.0);
-  };
-  const double x0[2] = {0.0, 0.0};
-  const MinimizeResult r = nelder_mead(f, x0);
-  EXPECT_NEAR(r.x[0], 3.0, 1e-5);
-  EXPECT_NEAR(r.x[1], -1.0, 1e-5);
-  EXPECT_LT(r.value, 1e-9);
+TEST(DampedSpdSolve, SolvesPositiveDefiniteSystemUndamped) {
+  // A = [[4, 1, 0], [1, 3, 1], [0, 1, 2]], x = (1, -2, 3).
+  const double a[6] = {4.0, 1.0, 0.0, 3.0, 1.0, 2.0};
+  const double b[3] = {2.0, -2.0, 4.0};
+  double d[3];
+  ASSERT_TRUE(solve_damped_spd(a, b, d));
+  EXPECT_NEAR(d[0], 1.0, 1e-14);
+  EXPECT_NEAR(d[1], -2.0, 1e-14);
+  EXPECT_NEAR(d[2], 3.0, 1e-14);
 }
 
-TEST(NelderMead, Rosenbrock2D) {
-  const auto f = [](std::span<const double> x) {
-    const double a = 1.0 - x[0];
-    const double b = x[1] - x[0] * x[0];
-    return a * a + 100.0 * b * b;
-  };
-  const double x0[2] = {-1.2, 1.0};
-  NelderMeadOptions options;
-  options.max_evaluations = 5000;
-  const MinimizeResult r = nelder_mead(f, x0, options);
-  EXPECT_NEAR(r.x[0], 1.0, 1e-3);
-  EXPECT_NEAR(r.x[1], 1.0, 2e-3);
-}
-
-TEST(NelderMead, QuarticIn4D) {
-  const auto f = [](std::span<const double> x) {
-    double s = 0.0;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      const double d = x[i] - static_cast<double>(i);
-      s += d * d * d * d + d * d;
-    }
-    return s;
-  };
-  const double x0[4] = {1.0, 1.0, 1.0, 1.0};
-  NelderMeadOptions options;
-  options.max_evaluations = 4000;
-  const MinimizeResult r = nelder_mead(f, x0, options);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_NEAR(r.x[i], static_cast<double>(i), 2e-3) << i;
+TEST(DampedSpdSolve, DampsIndefiniteAndSingularSystems) {
+  // Indefinite: the damped direction is finite and still a descent
+  // direction (d . b > 0); singular: a zero row is damped by mu.
+  const double indefinite[6] = {1.0, 0.0, 0.0, -1.0, 0.0, 1.0};
+  const double singular[6] = {1.0, 0.0, 0.0, 0.0, 0.0, 1.0};
+  for (const auto* a : {&indefinite, &singular}) {
+    const double b[3] = {1.0, 1.0, 1.0};
+    double d[3];
+    ASSERT_TRUE(solve_damped_spd(*a, b, d));
+    EXPECT_GT(d[0] * b[0] + d[1] * b[1] + d[2] * b[2], 0.0);
   }
-}
-
-TEST(NelderMead, InfinityActsAsConstraint) {
-  // Constrain x > 0 by returning inf; optimum at the boundary-near
-  // minimum of (x-2)^2 from a feasible start.
-  const auto f = [](std::span<const double> x) {
-    if (x[0] <= 0.0) return std::numeric_limits<double>::infinity();
-    return (x[0] - 2.0) * (x[0] - 2.0);
-  };
-  const double x0[1] = {0.5};
-  const MinimizeResult r = nelder_mead(f, x0);
-  EXPECT_NEAR(r.x[0], 2.0, 1e-6);
-}
-
-TEST(NelderMead, NanTreatedAsInfinity) {
-  const auto f = [](std::span<const double> x) {
-    if (x[0] < -1.0) return std::nan("");
-    return x[0] * x[0];
-  };
-  const double x0[1] = {-0.9};
-  const MinimizeResult r = nelder_mead(f, x0);
-  EXPECT_NEAR(r.x[0], 0.0, 1e-6);
-}
-
-TEST(NelderMead, EmptyInputReturnsDefault) {
-  const auto f = [](std::span<const double>) { return 0.0; };
-  const MinimizeResult r = nelder_mead(f, {});
-  EXPECT_TRUE(r.x.empty());
-  EXPECT_FALSE(r.converged);
-}
-
-TEST(NelderMead, RespectsEvaluationBudget) {
-  const auto f = [](std::span<const double> x) { return x[0] * x[0]; };
-  const double x0[1] = {100.0};
-  NelderMeadOptions options;
-  options.max_evaluations = 25;
-  const MinimizeResult r = nelder_mead(f, x0, options);
-  EXPECT_LE(r.evaluations, 30u);  // small overshoot from shrink steps
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double bad[6] = {nan, 0.0, 0.0, 1.0, 0.0, 1.0};
+  const double b[3] = {1.0, 1.0, 1.0};
+  double d[3];
+  EXPECT_FALSE(solve_damped_spd(bad, b, d));
 }
 
 TEST(BisectRoot, SimpleRoot) {

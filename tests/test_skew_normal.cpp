@@ -12,7 +12,6 @@
 
 #include "simd/simd.h"
 #include "stats/descriptive.h"
-#include "stats/optimize.h"
 #include "stats/skew_normal.h"
 #include "stats/special_functions.h"
 
@@ -290,33 +289,59 @@ TEST(SkewNormalMle, NewtonStepNeverLowersWeightedLogLikelihood) {
   }
 }
 
-// The Newton fit reaches the optimum of a 5000-evaluation Nelder-Mead
-// reference on (xi, log omega, alpha) to 1e-7 relative
-// log-likelihood, both from the method of moments.
-TEST(SkewNormalMle, ReachesNelderMeadOptimum) {
+// The Newton fit from the method of moments stops at a maximum of the
+// weighted log-likelihood: the score, scaled by the parameter scales
+// (omega for xi and omega, max(|alpha|, 1) for alpha) and the total
+// weight, vanishes; the scaled -H has a Cholesky factor; and none of
+// the 26 neighbours one 1e-4-relative step away in any combination of
+// coordinates has a lower weighted NLL.
+TEST(SkewNormalMle, StopsAtLikelihoodMaximum) {
   std::uint64_t salt = 0x4E4D;
   for (const double alpha : kShapes) {
     const BinnedSn d = binned_sn(alpha, ++salt);
-    const auto start = SkewNormal::fit_moments(d.x, d.w);
-    ASSERT_TRUE(start.has_value());
-    NelderMeadOptions nm;
-    nm.max_evaluations = 5000;
-    nm.initial_step = 0.25;
-    const double x0[3] = {start->xi(), std::log(start->omega()),
-                          start->alpha()};
-    const MinimizeResult ref = nelder_mead(
-        [&](std::span<const double> p) {
-          return simd::sn_weighted_nll_score(p[0], std::exp(p[1]), p[2],
-                                             d.x, d.w)
-              .nll;
-        },
-        x0, nm);
     MleReport rep;
     const auto fit = SkewNormal::fit_weighted_mle(d.x, d.w, nullptr, 100,
                                                   &rep);
     ASSERT_TRUE(fit.has_value());
-    EXPECT_LE(weighted_nll(*fit, d), ref.value + 1e-7 * std::fabs(ref.value))
-        << "alpha=" << alpha << " (" << rep.iterations << " iterations)";
+    const double theta[3] = {fit->xi(), fit->omega(), fit->alpha()};
+    const double scale[3] = {theta[1], theta[1],
+                             std::max(std::fabs(theta[2]), 1.0)};
+    const simd::SnScore at =
+        simd::sn_weighted_nll_score(theta[0], theta[1], theta[2], d.x, d.w);
+    double total = 0.0;
+    for (const double w : d.w) total += w;
+    for (int j = 0; j < 3; ++j) {
+      EXPECT_LT(std::fabs(at.score[j]) * scale[j] / total, 1e-7)
+          << "alpha=" << alpha << " coordinate " << j << " ("
+          << rep.iterations << " iterations)";
+    }
+    // Cholesky of the scaled -H (packed xx, xy, xz, yy, yz, zz).
+    const auto neg_h = [&](int i, int j) {
+      static constexpr int kPacked[3][3] = {{0, 1, 2}, {1, 3, 4}, {2, 4, 5}};
+      return -at.hessian[kPacked[i][j]] * scale[i] * scale[j];
+    };
+    const double l00 = std::sqrt(neg_h(0, 0));
+    const double l10 = neg_h(1, 0) / l00;
+    const double l20 = neg_h(2, 0) / l00;
+    const double p11 = neg_h(1, 1) - l10 * l10;
+    const double l21 = (neg_h(2, 1) - l20 * l10) / std::sqrt(p11);
+    const double p22 = neg_h(2, 2) - l20 * l20 - l21 * l21;
+    EXPECT_GT(neg_h(0, 0), 0.0) << "alpha=" << alpha;
+    EXPECT_GT(p11, 0.0) << "alpha=" << alpha;
+    EXPECT_GT(p22, 0.0) << "alpha=" << alpha;
+    for (int i = -1; i <= 1; ++i) {
+      for (int j = -1; j <= 1; ++j) {
+        for (int k = -1; k <= 1; ++k) {
+          if (i == 0 && j == 0 && k == 0) continue;
+          const SkewNormal near(theta[0] + 1e-4 * i * scale[0],
+                                theta[1] + 1e-4 * j * scale[1],
+                                theta[2] + 1e-4 * k * scale[2]);
+          EXPECT_GE(weighted_nll(near, d), at.nll)
+              << "alpha=" << alpha << " neighbour (" << i << ", " << j
+              << ", " << k << ")";
+        }
+      }
+    }
   }
 }
 
