@@ -344,14 +344,19 @@ BENCHMARK(BM_CharacterizeEntryCold)
     ->Unit(benchmark::kMillisecond);
 
 // Fit-cost ablation: LVF^2 EM with binned likelihood at different
-// resolutions vs raw samples (bins = 0). DESIGN.md decision 1.
+// resolutions vs raw samples (bins = 0). DESIGN.md decision 1. The
+// /512 row is the L2 ledger row (one production LVF^2 fit); its
+// counters are the EM iterations per fit and whether it converged.
 void BM_Lvf2FitBinned(benchmark::State& state) {
   const auto samples = bimodal_samples(20000);
   core::FitOptions options;
   options.likelihood_bins = static_cast<std::size_t>(state.range(0));
+  core::EmReport report;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::Lvf2Model::fit(samples, options));
+    benchmark::DoNotOptimize(core::Lvf2Model::fit(samples, options, &report));
   }
+  state.counters["em_iterations"] = static_cast<double>(report.iterations);
+  state.counters["converged"] = report.converged ? 1.0 : 0.0;
 }
 BENCHMARK(BM_Lvf2FitBinned)
     ->Arg(128)

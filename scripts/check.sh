@@ -251,7 +251,7 @@ if [ "$PERF" = 1 ]; then
   # pair into BENCH_perf_micro.json (env -u LVF2_CACHE: any cache
   # setting, even =off, voids the cold-entry bench).
   env -u LVF2_CACHE LVF2_BENCH_JSON="$(pwd)" "$BUILD_DIR/bench/bench_perf" \
-    --benchmark_filter='BM_Disabled.*|BM_PoolTelemetryOverhead|BM_.*Kernel/.*|BM_SkewNormalMStep/.*|BM_CharacterizeEntryCold/.*|BM_FitModel/.*' \
+    --benchmark_filter='BM_Disabled.*|BM_PoolTelemetryOverhead|BM_.*Kernel/.*|BM_SkewNormalMStep/.*|BM_CharacterizeEntryCold/.*|BM_FitModel/.*|BM_Lvf2FitBinned/512' \
     --benchmark_min_time=0.2 >"$PERF_DIR/bench_perf.txt" 2>&1 \
     || { cat "$PERF_DIR/bench_perf.txt"; exit 1; }
   [ -s BENCH_perf_micro.json ] \
@@ -305,6 +305,15 @@ print(f"ok: fused M-step kernel rows + M-step rows ({mstep})")
 for k in range(4):
     assert f"BM_FitModel_{k}" in reg, f"no BM_FitModel_{k} row"
 print(f"ok: model fit rows (LESN {reg['BM_FitModel_2']:.3f} ms)")
+# L2 row: one binned LVF2 EM fit, with its iteration count and
+# convergence flag.
+l2 = "BM_Lvf2FitBinned_512"
+assert l2 in reg, f"no {l2} row"
+assert reg.get(f"{l2}_em_iterations", 0) >= 1, f"{l2} has no em_iterations"
+assert f"{l2}_converged" in reg, f"{l2} has no converged counter"
+print(f"ok: L2 row {reg[l2]:.2f} ms, "
+      f"{reg[f'{l2}_em_iterations']:.0f} EM iterations, "
+      f"converged {reg[f'{l2}_converged']:.0f}")
 base = reg["BM_CharacterizeEntryCold_pre_simd_scalar_baseline_ms"]
 best = min(reg[k] for k in vec)
 print(f"ok: {len(kernel_rows)} kernel rows; cold entry best vector tier "

@@ -212,9 +212,10 @@ std::uint64_t entry_cache_key(const spice::ProcessCorner& corner,
                               const CharacterizeOptions& options,
                               const Cell& cell, const TimingArc& arc,
                               const std::string& arc_label,
-                              std::size_t load_idx, std::size_t slew_idx) {
+                              std::size_t load_idx, std::size_t slew_idx,
+                              std::uint64_t salt) {
   cache::KeyHasher h;
-  h.feed(kCharacterizeCacheSalt);
+  h.feed(salt);
   // Kernel tier: SIMD tiers agree with scalar only within tolerance,
   // so entries fitted under one tier must not be replayed under
   // another.

@@ -26,14 +26,17 @@ namespace lvf2::cells {
 /// Monte-Carlo engine, the fitting code, or this codec changes
 /// behaviour: old entries then miss (and `lvf2_cache gc` collects
 /// them) instead of serving stale results.
-inline constexpr std::uint64_t kCharacterizeCacheSalt = 3;
+inline constexpr std::uint64_t kCharacterizeCacheSalt = 4;
 
-/// Content-addressed key of one characterization table entry.
+/// Content-addressed key of one characterization table entry. `salt`
+/// is the code-version salt the key is derived under (an older salt
+/// gives the key an older build stored the entry at).
 std::uint64_t entry_cache_key(const spice::ProcessCorner& corner,
                               const CharacterizeOptions& options,
                               const Cell& cell, const TimingArc& arc,
                               const std::string& arc_label,
-                              std::size_t load_idx, std::size_t slew_idx);
+                              std::size_t load_idx, std::size_t slew_idx,
+                              std::uint64_t salt = kCharacterizeCacheSalt);
 
 /// Everything `verify` needs to re-run an entry without the original
 /// library object: how to rebuild the cell, which arc, the grid

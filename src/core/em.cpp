@@ -19,6 +19,11 @@ namespace lvf2::core {
 namespace {
 
 constexpr double kWeightFloor = 1e-6;
+// The accelerated loop's skew-normal M-step stops after a Newton step
+// that moved the component by less than 1 % (of omega, or of
+// max(|alpha|, 1)): near convergence that is one step, two fused
+// passes instead of ~5 (DESIGN.md decision 26).
+constexpr double kGeneralizedMove = 1e-2;
 
 // A component family: its k-means start (from a cluster's weights) and
 // its M-step. Log-pdf, from-moments and the affine rescale come from
@@ -40,13 +45,34 @@ struct Family<stats::SkewNormal> {
     return C::from_moments(m.mean, 0.05 * global.stddev, 0.0);
   }
   // Weighted MLE (Eq. 7/8): damped Newton on the closed-form score
-  // and Hessian, warm-started from the current component. It accepts
-  // only steps that do not raise the weighted NLL, so EM stays
-  // monotone.
+  // and Hessian, warm-started from the current component. A
+  // generalized M-step stops after the first step that moves the
+  // component by less than kGeneralizedMove. Only steps that do not
+  // raise the weighted NLL are taken, so EM stays monotone.
   static std::optional<C> m_step(std::span<const double> x,
                                  std::span<const double> w, double,
-                                 const C& current, double) {
-    return C::fit_weighted_mle(x, w, &current);
+                                 const C& current, double,
+                                 bool generalized) {
+    return C::fit_weighted_mle(x, w, &current, C::kMaxNewtonIterations,
+                               nullptr, generalized ? kGeneralizedMove : 0.0);
+  }
+  // Unconstrained coordinates of the extrapolation: (xi / scale,
+  // log omega, alpha). A point with omega below 1e-5 scale (the
+  // Normal M-step's sigma floor) or |alpha| beyond kMaxAlpha is
+  // infeasible.
+  static constexpr std::size_t kParams = 3;
+  static void to_params(const C& c, double scale, double* p) {
+    p[0] = c.xi() / scale;
+    p[1] = std::log(c.omega());
+    p[2] = c.alpha();
+  }
+  static std::optional<C> from_params(const double* p, double scale) {
+    const double xi = p[0] * scale, omega = std::exp(p[1]);
+    if (!std::isfinite(xi) || !(omega >= 1e-5 * scale) ||
+        !std::isfinite(omega) || !(std::fabs(p[2]) <= C::kMaxAlpha)) {
+      return std::nullopt;
+    }
+    return C(xi, omega, p[2]);
   }
 };
 
@@ -62,8 +88,23 @@ struct Family<stats::Normal> {
   }
   static std::optional<C> m_step(std::span<const double> x,
                                  std::span<const double> w, double total,
-                                 const C&, double scale) {
+                                 const C&, double scale, bool) {
     return weighted(x, w, total, 1e-5 * scale);
+  }
+  // Unconstrained coordinates: (mu / scale, log sigma), sigma floored
+  // as in the M-step.
+  static constexpr std::size_t kParams = 2;
+  static void to_params(const C& c, double scale, double* p) {
+    p[0] = c.mean() / scale;
+    p[1] = std::log(c.stddev());
+  }
+  static std::optional<C> from_params(const double* p, double scale) {
+    const double mu = p[0] * scale, sigma = std::exp(p[1]);
+    if (!std::isfinite(mu) || !(sigma >= 1e-5 * scale) ||
+        !std::isfinite(sigma)) {
+      return std::nullopt;
+    }
+    return C(mu, sigma);
   }
   static C weighted(std::span<const double> x, std::span<const double> w,
                     double total, double sigma_floor) {
@@ -233,6 +274,49 @@ void record_binning(std::size_t in, std::size_t out) {
   out_counter.add(out);
 }
 
+// A mixture in the unconstrained coordinates SQUAREM extrapolates in:
+// the log-ratios log(w_c / w_0) of the weights c >= 1, then each
+// component's family coordinates.
+template <class C>
+void to_params(const Components<C>& comps, double scale,
+               std::vector<double>& p) {
+  const std::size_t k = comps.size();
+  p.resize(k - 1 + k * Family<C>::kParams);
+  for (std::size_t c = 1; c < k; ++c) {
+    p[c - 1] = std::log(comps[c].weight / comps[0].weight);
+  }
+  for (std::size_t c = 0; c < k; ++c) {
+    Family<C>::to_params(comps[c].dist, scale,
+                         &p[k - 1 + c * Family<C>::kParams]);
+  }
+}
+
+// The inverse map, into `comps` (sized like the mixture `p` came
+// from). False when the point is infeasible: a weight below
+// kWeightFloor or a component its family rejects.
+template <class C>
+bool from_params(const std::vector<double>& p, double scale,
+                 Components<C>& comps) {
+  const std::size_t k = comps.size();
+  double denom = 1.0;
+  for (std::size_t c = 1; c < k; ++c) denom += std::exp(p[c - 1]);
+  double others = 0.0;
+  for (std::size_t c = 1; c < k; ++c) {
+    comps[c].weight = std::exp(p[c - 1]) / denom;
+    if (!(comps[c].weight >= kWeightFloor)) return false;
+    others += comps[c].weight;
+  }
+  if (!(others <= 1.0 - kWeightFloor)) return false;
+  comps[0].weight = 1.0 - others;
+  for (std::size_t c = 0; c < k; ++c) {
+    const auto dist =
+        Family<C>::from_params(&p[k - 1 + c * Family<C>::kParams], scale);
+    if (!dist) return false;
+    comps[c].dist = *dist;
+  }
+  return true;
+}
+
 }  // namespace
 
 const char* to_string(FitDegradation degradation) {
@@ -302,10 +386,11 @@ WeightedData make_weighted_data(const stats::GridPdf& pdf,
 
 template <class C>
 EmRun<C> run_em(const WeightedData& data, const Mixture<C>& start,
-                const FitOptions& options) {
+                const FitOptions& options, EmSteps steps) {
   const std::size_t n = data.size();
   const std::size_t k = start.size();
   const double scale = stats::compute_weighted_moments(data.x, data.w).stddev;
+  const bool accelerate = steps == EmSteps::kAccelerated;
   EmRun<C> run;
   Components<C> comps = start.components();
   std::vector<std::vector<double>> resp, w(k, std::vector<double>(n));
@@ -314,7 +399,21 @@ EmRun<C> run_em(const WeightedData& data, const Mixture<C>& start,
     run.report.collapsed = true;
     return run;
   };
+  // SQUAREM (Varadhan & Roland 2008; DESIGN.md decision 26). A cycle
+  // maps theta0 -> theta1 -> theta2 by two EM iterations, then takes
+  // one squared-extrapolation step from the three. `phase` says which
+  // point the next E-step evaluates; for kExtrapolated, `plain` holds
+  // theta2 to fall back to. The step length is bounded by `step_max`,
+  // which grows 4x while steps reach it and shrinks 4x when a step at
+  // the bound is rejected (the SQUAREM defaults).
+  enum class Phase { kFirstMap, kSecondMap, kExtrapolated };
+  Phase phase = Phase::kFirstMap;
+  std::vector<double> p0, p1, p2;
+  Components<C> plain;
+  double ll_theta1 = 0.0;
+  double step = 1.0, step_max = 1.0;
   double prev_ll = -std::numeric_limits<double>::infinity();
+  double cycle_ll = prev_ll;
   std::size_t ll_decreases = 0;
   for (std::size_t iter = 0; iter < options.em_max_iterations; ++iter) {
     // Deadline checkpoint (lvf2d): at most one more EM iteration runs
@@ -328,6 +427,19 @@ EmRun<C> run_em(const WeightedData& data, const Mixture<C>& start,
     if (robust::fire(robust::Fault::kEmOscillate)) {
       ll += ((iter % 2 == 0) ? -0.5 : 0.5) * (std::fabs(ll) + 1.0);
     }
+    if (phase == Phase::kExtrapolated) {
+      // Monotone fallback: keep the extrapolated point only if it is
+      // at least as likely as theta1, else go on from theta2.
+      phase = Phase::kFirstMap;
+      if (!(ll >= ll_theta1)) {
+        if (step == step_max) step_max = std::max(1.0, step_max / 4.0);
+        comps = plain;
+        continue;
+      }
+    }
+    // The stop rule compares consecutive iterates of the accelerated
+    // sequence, the cycle starts (every E-step of plain EM is one).
+    const bool cycle_start = phase == Phase::kFirstMap;
     run.report.log_likelihood = ll;
     obs::trace_counter("em.loglik", ll);
 
@@ -344,6 +456,7 @@ EmRun<C> run_em(const WeightedData& data, const Mixture<C>& start,
       return collapse();
     }
     if (!std::isfinite(ll)) return collapse();
+    if (accelerate && cycle_start) to_params<C>(comps, scale, p0);
 
     // M-step (Eq. 9): closed-form weights, the first component taking
     // the remainder of each point's weight, then per-component MLE.
@@ -370,21 +483,58 @@ EmRun<C> run_em(const WeightedData& data, const Mixture<C>& start,
     bool fitted = true;
     for (std::size_t c = 0; c < k; ++c) {
       const auto next = Family<C>::m_step(data.x, w[c], totals[c],
-                                          comps[c].dist, scale);
+                                          comps[c].dist, scale, accelerate);
       if (next) comps[c].dist = *next;
       fitted = fitted && next.has_value();
     }
     if (!fitted) return collapse();
 
-    if (std::isfinite(prev_ll) &&
-        std::fabs(ll - prev_ll) <=
-            options.em_tolerance * (std::fabs(prev_ll) + 1.0) &&
+    if (cycle_start && std::isfinite(cycle_ll) &&
+        std::fabs(ll - cycle_ll) <=
+            options.em_tolerance * (std::fabs(cycle_ll) + 1.0) &&
         !robust::fire(robust::Fault::kEmExhaust)) {
       run.report.converged = true;
       break;
     }
     prev_ll = ll;
+    if (cycle_start) cycle_ll = ll;
+    if (!accelerate) continue;
+
+    if (phase == Phase::kFirstMap) {
+      to_params<C>(comps, scale, p1);
+      phase = Phase::kSecondMap;
+      continue;
+    }
+    // Squared extrapolation from r = theta1 - theta0 and
+    // v = theta2 - 2 theta1 + theta0 with step length s = |r| / |v| in
+    // [1, step_max]: theta' = theta0 + 2 s r + s^2 v (s = 1 is theta2).
+    phase = Phase::kFirstMap;
+    ll_theta1 = ll;
+    to_params<C>(comps, scale, p2);
+    double rr = 0.0, vv = 0.0;
+    for (std::size_t j = 0; j < p0.size(); ++j) {
+      const double r = p1[j] - p0[j];
+      const double v = p2[j] - 2.0 * p1[j] + p0[j];
+      rr += r * r;
+      vv += v * v;
+      p2[j] = v;
+    }
+    step = std::clamp(std::sqrt(rr / vv), 1.0, step_max);
+    if (step == step_max) step_max *= 4.0;
+    if (!(step > 1.0)) continue;  // theta2 itself (or a NaN step)
+    for (std::size_t j = 0; j < p0.size(); ++j) {
+      p2[j] = p0[j] + 2.0 * step * (p1[j] - p0[j]) + step * step * p2[j];
+    }
+    plain = comps;
+    if (from_params<C>(p2, scale, comps)) {
+      phase = Phase::kExtrapolated;
+    } else {
+      comps = plain;
+    }
   }
+  // The cap can end a cycle before its extrapolated point is
+  // evaluated; the result is then theta2, the last EM map's output.
+  if (phase == Phase::kExtrapolated) comps = std::move(plain);
   run.mixture = Mixture<C>(std::move(comps));
   return run;
 }
@@ -394,7 +544,7 @@ std::optional<Mixture<C>> fit_mixture(const WeightedData& data,
                                       std::size_t k,
                                       std::span<const EmStart> start_kinds,
                                       const FitOptions& options,
-                                      EmReport* report) {
+                                      EmReport* report, EmSteps steps) {
   obs::TraceSpan span("em.fit", [&] {
     return obs::ArgsBuilder().add("points", data.size()).str();
   });
@@ -432,7 +582,7 @@ std::optional<Mixture<C>> fit_mixture(const WeightedData& data,
   burst_options.em_max_iterations = burst;
   std::optional<EmRun<C>> best;
   for (const Mixture<C>& start : starts) {
-    EmRun<C> run = run_em(data, start, burst_options);
+    EmRun<C> run = run_em(data, start, burst_options, steps);
     if (!run.report.collapsed &&
         (!best || run.report.log_likelihood > best->report.log_likelihood)) {
       best = std::move(run);
@@ -441,7 +591,7 @@ std::optional<Mixture<C>> fit_mixture(const WeightedData& data,
   if (best && !best->report.converged && options.em_max_iterations > burst) {
     FitOptions rest = options;
     rest.em_max_iterations = options.em_max_iterations - burst;
-    EmRun<C> final_run = run_em(data, best->mixture, rest);
+    EmRun<C> final_run = run_em(data, best->mixture, rest, steps);
     if (!final_run.report.collapsed) {
       final_run.report.iterations += burst;
       best = std::move(final_run);
@@ -530,7 +680,8 @@ std::optional<Mixture<C>> fit_mixture(std::span<const double> samples,
   }
 
   const auto fit = fit_mixture<C>(make_weighted_data(use, options), k,
-                                  starts, options, &rep);
+                                  starts, options, &rep,
+                                  EmSteps::kAccelerated);
   rep.dropped_samples = nonfinite;
   rep.clipped_samples = clipped;
   return fit;
@@ -538,10 +689,10 @@ std::optional<Mixture<C>> fit_mixture(std::span<const double> samples,
 
 #define LVF2_EM_FAMILY(C)                                                 \
   template EmRun<C> run_em(const WeightedData&, const Mixture<C>&,        \
-                           const FitOptions&);                            \
+                           const FitOptions&, EmSteps);                   \
   template std::optional<Mixture<C>> fit_mixture(                         \
       const WeightedData&, std::size_t, std::span<const EmStart>,         \
-      const FitOptions&, EmReport*);                                      \
+      const FitOptions&, EmReport*, EmSteps);                             \
   template std::optional<Mixture<C>> fit_mixture(                         \
       std::span<const double>, std::size_t, std::span<const EmStart>,     \
       const FitOptions&, EmReport*);

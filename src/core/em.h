@@ -94,12 +94,32 @@ struct EmRun {
   EmReport report;
 };
 
-/// EM from `start` for at most options.em_max_iterations iterations:
-/// the single loop every fit runs. report.log_likelihood is that of
-/// the last E-step, i.e. of the parameters before the last M-step.
+/// How run_em steps (DESIGN.md decision 26).
+enum class EmSteps {
+  /// SQUAREM: two EM maps, then one squared-extrapolation step in
+  /// unconstrained coordinates, kept only if it is at least as likely
+  /// as the first map's point. The skew-normal M-step is generalized:
+  /// its Newton iteration stops after a step that moves the component
+  /// by less than 1 % (one step near convergence).
+  kAccelerated,
+  /// Plain EM with the M-step's Newton iteration run to convergence.
+  /// Grid refits use it: on a smooth convolved density the likelihood
+  /// has flat ridges along which an accelerated run's stopping point
+  /// depends on the rebinning (RefitModel.RebinnedMatchesFullGrid).
+  kPlain,
+};
+
+/// EM from `start` for at most options.em_max_iterations iterations
+/// (every E-step counts, an extrapolated one too): the single loop
+/// every fit runs. It stops when consecutive iterates (SQUAREM cycle
+/// starts; every E-step of plain EM) differ by at most
+/// options.em_tolerance relative log-likelihood. report.log_likelihood
+/// is that of the last kept E-step, i.e. of the parameters before the
+/// last M-step, and never decreases with the iteration cap.
 template <class C>
 EmRun<C> run_em(const WeightedData& data, const Mixture<C>& start,
-                const FitOptions& options);
+                const FitOptions& options,
+                EmSteps steps = EmSteps::kAccelerated);
 
 /// K-component fit from `starts` (in tie-breaking order; staged
 /// multi-start when two or more apply), with ascending-mean order,
@@ -111,10 +131,10 @@ std::optional<Mixture<C>> fit_mixture(const WeightedData& data,
                                       std::size_t k,
                                       std::span<const EmStart> starts,
                                       const FitOptions& options,
-                                      EmReport* report);
+                                      EmReport* report, EmSteps steps);
 
 /// Raw-sample form: drops non-finite samples and winsorizes absurd
-/// outliers first, then bins per `options`.
+/// outliers first, then bins per `options` and runs accelerated EM.
 template <class C>
 std::optional<Mixture<C>> fit_mixture(std::span<const double> samples,
                                       std::size_t k,

@@ -27,7 +27,8 @@ std::optional<Lvf2Model> Lvf2Model::fit_weighted(const WeightedData& data,
                                                  const FitOptions& options,
                                                  EmReport* report) {
   return as_model<Lvf2Model>(
-      fit_mixture<stats::SkewNormal>(data, 2, kAllStarts, options, report));
+      fit_mixture<stats::SkewNormal>(data, 2, kAllStarts, options, report,
+                                     EmSteps::kPlain));
 }
 
 }  // namespace lvf2::core

@@ -55,7 +55,7 @@ class Lvf2Model final : public PairModel<stats::SkewNormal, ModelKind::kLvf2> {
 
   /// EM fit directly on weighted observations (e.g. a tabulated
   /// density from block-based SSTA propagation — the family refit at
-  /// each timing-graph node).
+  /// each timing-graph node), by plain EM (EmSteps::kPlain).
   static std::optional<Lvf2Model> fit_weighted(const WeightedData& data,
                                                const FitOptions& options = {},
                                                EmReport* report = nullptr);

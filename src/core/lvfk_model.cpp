@@ -49,7 +49,8 @@ std::optional<LvfKModel> LvfKModel::fit_weighted(const WeightedData& data,
                                                  const FitOptions& options,
                                                  EmReport* report) {
   return as_model<LvfKModel>(
-      fit_mixture<stats::SkewNormal>(data, k, kAllStarts, options, report));
+      fit_mixture<stats::SkewNormal>(data, k, kAllStarts, options, report,
+                                     EmSteps::kPlain));
 }
 
 double LvfKModel::bic(const WeightedData& data) const {

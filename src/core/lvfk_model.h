@@ -38,7 +38,8 @@ class LvfKModel final
                                       const FitOptions& options = {},
                                       EmReport* report = nullptr);
 
-  /// EM fit on weighted observations (tabulated densities).
+  /// EM fit on weighted observations (tabulated densities), by plain
+  /// EM.
   static std::optional<LvfKModel> fit_weighted(const WeightedData& data,
                                                std::size_t k,
                                                const FitOptions& options = {},

@@ -9,6 +9,7 @@
 #include "core/model_factory.h"
 #include "core/yield.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace lvf2::core {
 
@@ -99,6 +100,7 @@ const ModelErrorReduction& ModelEvaluation::reduction_of(
 ModelEvaluation evaluate_models(std::span<const double> samples,
                                 const FitOptions& options,
                                 const Lvf2Model* fitted_lvf2) {
+  obs::TraceSpan span("qor.evaluate");
   ModelEvaluation eval;
   eval.golden_moments = stats::compute_moments(samples);
   eval.models = fit_all_models(samples, options, fitted_lvf2);

@@ -21,7 +21,8 @@ std::optional<Norm2Model> Norm2Model::fit_weighted(const WeightedData& data,
                                                    const FitOptions& options,
                                                    EmReport* report) {
   return as_model<Norm2Model>(
-      fit_mixture<stats::Normal>(data, 2, kStarts, options, report));
+      fit_mixture<stats::Normal>(data, 2, kStarts, options, report,
+                                 EmSteps::kPlain));
 }
 
 }  // namespace lvf2::core

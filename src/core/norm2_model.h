@@ -27,7 +27,7 @@ class Norm2Model final : public PairModel<stats::Normal, ModelKind::kNorm2> {
                                        EmReport* report = nullptr);
 
   /// EM fit directly on weighted observations (e.g. a tabulated
-  /// density from block-based SSTA propagation).
+  /// density from block-based SSTA propagation), by plain EM.
   static std::optional<Norm2Model> fit_weighted(const WeightedData& data,
                                                 const FitOptions& options = {},
                                                 EmReport* report = nullptr);

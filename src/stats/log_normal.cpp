@@ -89,19 +89,14 @@ double log_mean(double omega, double delta, double tau) {
          normal_log_cdf(tau);
 }
 
-// log Phi(x) and zeta1(x) = phi(x) / Phi(x) from one erfc. For x > 0,
-// log Phi goes through log1p of the upper tail, which keeps the full
-// relative precision of the tiny log Phi values there.
+// log Phi(x) and zeta1(x) = phi(x) / Phi(x).
 void log_cdf_and_mills(double x, double& log_cdf, double& mills) {
-  if (x < -36.5) {  // Phi underflows: the asymptotic forms
-    log_cdf = normal_log_cdf(x);
+  log_cdf = normal_log_cdf(x);
+  if (x < -36.5) {  // Phi underflows: the asymptotic form
     mills = zeta1(x);
     return;
   }
-  const double upper = (x > 0.0) ? normal_cdf(-x) : 0.0;
-  const double cdf = (x > 0.0) ? 1.0 - upper : normal_cdf(x);
-  log_cdf = (x > 0.0) ? std::log1p(-upper) : std::log(cdf);
-  mills = normal_pdf(x) / cdf;
+  mills = normal_pdf(x) / ((x > 0.0) ? 1.0 - normal_cdf(-x) : normal_cdf(x));
 }
 
 // Shape statistics of X = exp(omega Z_esn(delta, tau)):

@@ -40,10 +40,9 @@ double delta_of_skewness(double gamma) {
 
 // Newton M-step controls: stop on a relative parameter move below
 // kMleRelativeMove; give up on a direction after kMleMaxHalvings
-// step halvings; |alpha| beyond kMaxAlpha is treated as infeasible.
+// step halvings.
 constexpr double kMleRelativeMove = 1e-7;
 constexpr int kMleMaxHalvings = 30;
-constexpr double kMaxAlpha = 1e6;
 
 }  // namespace
 
@@ -190,7 +189,7 @@ std::optional<SkewNormal> SkewNormal::fit_moments(
 std::optional<SkewNormal> SkewNormal::fit_weighted_mle(
     std::span<const double> samples, std::span<const double> weights,
     const SkewNormal* initial, std::size_t max_iterations,
-    MleReport* report) {
+    MleReport* report, double stop_move) {
   MleReport scratch;
   MleReport& rep = (report != nullptr) ? *report : scratch;
   rep = MleReport{};
@@ -228,7 +227,7 @@ std::optional<SkewNormal> SkewNormal::fit_weighted_mle(
     // Backtracking: halve until the weighted NLL does not increase,
     // giving up once the step is itself below the stopping move (a
     // rejection there is rounding noise at the optimum).
-    bool accepted = false;
+    bool accepted = false, small = false;
     double t = 1.0;
     for (int halving = 0; halving < kMleMaxHalvings; ++halving, t *= 0.5) {
       const double step[3] = {t * d[0], t * d[1], t * d[2]};
@@ -244,10 +243,11 @@ std::optional<SkewNormal> SkewNormal::fit_weighted_mle(
         std::copy(trial, trial + 3, theta);
         at = next;
         accepted = true;
+        small = move(step) < stop_move;
         break;
       }
     }
-    if (!accepted) break;
+    if (!accepted || small) break;
   }
   return SkewNormal(theta[0], theta[1], theta[2]);
 }

@@ -89,9 +89,10 @@ class SkewNormal {
   /// Fourth standardized moment (normal == 3).
   double kurtosis() const;
 
-  /// Default Newton iteration cap of fit_weighted_mle; EM's M-step
-  /// runs at it.
+  /// Default Newton iteration cap of fit_weighted_mle.
   static constexpr std::size_t kMaxNewtonIterations = 10;
+  /// Largest |alpha| a fit may reach; beyond it a point is infeasible.
+  static constexpr double kMaxAlpha = 1e6;
 
   /// Weighted maximum-likelihood fit (the LVF^2 M-step, paper Eq.
   /// 7/8): maximizes sum_i w_i log f(x_i) over (xi, omega, alpha) by a
@@ -101,14 +102,17 @@ class SkewNormal {
   /// moments. A trial step is taken only if the weighted NLL does not
   /// increase (else it halves), a Hessian that is not negative
   /// definite is damped Levenberg-Marquardt style, and the iteration
-  /// stops on a relative move below 1e-7 or after `max_iterations`
-  /// Newton steps — so the fit is never worse than its start. Returns
+  /// stops on a relative move below 1e-7, after a taken step that
+  /// moved less than `stop_move` (accelerated EM's generalized M-step
+  /// passes 1e-2), or after `max_iterations` Newton steps — so the fit
+  /// is never worse than its start. Moves are in units of omega for xi
+  /// and omega and relative to max(|alpha|, 1) for alpha. Returns
   /// nullopt when the data or weights are degenerate.
   static std::optional<SkewNormal> fit_weighted_mle(
       std::span<const double> samples, std::span<const double> weights,
       const SkewNormal* initial = nullptr,
       std::size_t max_iterations = kMaxNewtonIterations,
-      MleReport* report = nullptr);
+      MleReport* report = nullptr, double stop_move = 0.0);
 
   /// Method-of-moments fit from (possibly weighted) samples.
   static std::optional<SkewNormal> fit_moments(

@@ -17,6 +17,10 @@ double normal_log_cdf(double x) {
   // ~2e-13 absolute (3e-16 relative to the result) at x = -36.5, so
   // crossing over there keeps both sides at full precision. The old
   // -10 crossover paid ~1e-7 series truncation across [-36.5, -10].
+  // For x > 0, log1p of the upper tail keeps the full relative
+  // precision of the tiny values there (log of a cdf near 1 keeps only
+  // absolute precision).
+  if (x > 0.0) return std::log1p(-normal_cdf(-x));
   if (x > -36.5) {
     return std::log(normal_cdf(x));
   }

@@ -24,10 +24,10 @@ double normal_pdf(double x);
 /// Standard normal cumulative distribution Phi(x), accurate in both tails.
 double normal_cdf(double x);
 
-/// log(Phi(x)), stable for deeply negative x (switches to an
-/// asymptotic expansion of the Mills ratio at x = -36.5, just before
-/// erfc goes subnormal, so both branches are full precision at the
-/// crossover).
+/// log(Phi(x)) at full relative precision: log1p(-Phi(-x)) for x > 0,
+/// and stable for deeply negative x (switches to an asymptotic
+/// expansion of the Mills ratio at x = -36.5, just before erfc goes
+/// subnormal, so both branches are full precision at the crossover).
 double normal_log_cdf(double x);
 
 /// Inverse of the standard normal CDF. Input must be in (0, 1);

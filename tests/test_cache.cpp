@@ -400,6 +400,42 @@ TEST(CacheCharacterize, CorruptedEntryDegradesToRecompute) {
   EXPECT_TRUE(cells::decode_cached_entry(*healed).has_value());
 }
 
+// An entry stored under salt 3, by the builds before the accelerated
+// EM changed every LVF^2 fit, is never served: the current key misses,
+// the entry is recomputed, and the old one stays where it was for
+// `lvf2_cache gc` to collect.
+TEST(CacheCharacterize, EntryStoredUnderPreviousSaltMisses) {
+  const SmallSetup setup;
+  cache::ResultCache::instance().disarm();
+  cells::ConditionCharacterization stale =
+      setup.characterizer().characterize_entry(setup.cell, setup.arc(),
+                                               setup.label(), 0, 0);
+  stale.lvf2_delay.lambda = 0.25;  // a marker only the old entry has
+  ScopedSingletonCache armed(fresh_cache_dir("lvf2_cache_old_salt"),
+                             cache::Mode::kReadWrite);
+  obs::JsonValue doc = cells::encode_cached_entry(
+      setup.corner, setup.options, setup.cell, setup.label(), 0, 0, stale,
+      nullptr);
+  const std::uint64_t old_salt = 3;
+  ASSERT_EQ(doc.object.front().first, "salt");
+  doc.object.front().second.string = std::to_string(old_salt);
+  const std::uint64_t old_key = cells::entry_cache_key(
+      setup.corner, setup.options, setup.cell, setup.arc(), setup.label(), 0,
+      0, old_salt);
+  ASSERT_NE(old_key, setup.key(0, 0));
+  cache::ResultCache::instance().store(old_key, doc);
+
+  const std::uint64_t hits_before = obs::counter("cache.hit").value();
+  const std::uint64_t misses_before = obs::counter("cache.miss").value();
+  const cells::ConditionCharacterization cc =
+      setup.characterizer().characterize_entry(setup.cell, setup.arc(),
+                                               setup.label(), 0, 0);
+  EXPECT_EQ(obs::counter("cache.hit").value(), hits_before);
+  EXPECT_EQ(obs::counter("cache.miss").value(), misses_before + 1);
+  EXPECT_NE(cc.lvf2_delay.lambda, 0.25);
+  EXPECT_EQ(cache::ResultCache::instance().size(), 2u);
+}
+
 TEST(CacheCharacterize, ReadonlyModeServesHitsButNeverWrites) {
   const std::string dir = fresh_cache_dir("lvf2_cache_readonly");
   const SmallSetup setup;

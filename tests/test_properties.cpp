@@ -175,35 +175,48 @@ TEST(Properties, EmSeedSweepRecoversMixtureWithinBudget) {
       << failures << "/" << kSeeds << " seeds missed the tolerance band";
 }
 
+// The EM fixture sets: 3000 draws from three overlapping normal
+// clusters, binned, and a K-component start at the sample quantiles.
+template <class C>
+struct EmFixture {
+  core::WeightedData data;
+  core::Mixture<C> start;
+};
+
+template <class C>
+EmFixture<C> em_fixture(std::size_t k, std::uint64_t seed) {
+  stats::Rng rng(seed);
+  std::vector<double> xs(3000);
+  for (double& x : xs) {
+    const double u = rng.uniform();
+    x = (u < 0.5)   ? rng.normal(1.0, 0.06)
+        : (u < 0.8) ? rng.normal(1.3, 0.05)
+                    : rng.normal(1.6, 0.08);
+  }
+  const stats::EmpiricalCdf ecdf(xs);
+  const double sd = stats::compute_moments(xs).stddev / k;
+  std::vector<typename core::Mixture<C>::Component> comps;
+  for (std::size_t c = 0; c < k; ++c) {
+    const double mean = ecdf.quantile((c + 0.5) / k);
+    comps.push_back({1.0 / k, C::from_moments(mean, sd, 0.0)});
+  }
+  return {core::make_weighted_data(xs, {}), core::Mixture<C>(std::move(comps))};
+}
+
 // EM ascent: the engine's single run, capped at t = 1..12 iterations,
 // reports a log-likelihood that never decreases in t (up to 1e-12
-// relative) — for every family and K. A closed-form M-step must keep
-// this invariant too.
+// relative) — for every family and K. Accelerated steps are kept only
+// when they do not lose likelihood, and a generalized M-step must
+// keep this invariant too.
 template <class C>
 void expect_em_ascent(std::size_t k, std::uint64_t salt) {
   for (std::uint64_t set = 0; set < 8; ++set) {
-    stats::Rng rng(test::test_seed(salt + set));
-    std::vector<double> xs(3000);
-    for (double& x : xs) {
-      const double u = rng.uniform();
-      x = (u < 0.5)   ? rng.normal(1.0, 0.06)
-          : (u < 0.8) ? rng.normal(1.3, 0.05)
-                      : rng.normal(1.6, 0.08);
-    }
-    const core::WeightedData data = core::make_weighted_data(xs, {});
-    const stats::EmpiricalCdf ecdf(xs);
-    const double sd = stats::compute_moments(xs).stddev / k;
-    std::vector<typename core::Mixture<C>::Component> comps;
-    for (std::size_t c = 0; c < k; ++c) {
-      const double mean = ecdf.quantile((c + 0.5) / k);
-      comps.push_back({1.0 / k, C::from_moments(mean, sd, 0.0)});
-    }
-    const core::Mixture<C> start(std::move(comps));
+    const EmFixture<C> fx = em_fixture<C>(k, test::test_seed(salt + set));
     double prev = -std::numeric_limits<double>::infinity();
     for (std::size_t t = 1; t <= 12; ++t) {
       core::FitOptions options;
       options.em_max_iterations = t;
-      const core::EmRun<C> run = core::run_em(data, start, options);
+      const core::EmRun<C> run = core::run_em(fx.data, fx.start, options);
       ASSERT_FALSE(run.report.collapsed) << "set " << set << " t " << t;
       const double ll = run.report.log_likelihood;
       EXPECT_GE(ll, prev - 1e-12 * std::fabs(prev))
@@ -217,6 +230,60 @@ TEST(Properties, EmLogLikelihoodNeverDecreases) {
   expect_em_ascent<stats::SkewNormal>(2, 0xA5CE00);
   expect_em_ascent<stats::SkewNormal>(3, 0xA5CE10);
   expect_em_ascent<stats::Normal>(2, 0xA5CE20);
+}
+
+// The accelerated loop ends at an EM fixed point: run to a 1e-12
+// tolerance (cap 3000), one more EM map gains < 1e-9 relative, and the
+// log-likelihood matches that of plain EM (chained two-map runs, which
+// never extrapolate) at the same budget within 1e-6 relative. With
+// three skew-normal components on three-cluster data the two end at
+// different maxima: there the extrapolation carries the run past the
+// one plain EM stops at (0.02-0.6 log-likelihood units higher), so the
+// check is one-sided.
+template <class C>
+void expect_em_fixed_point(std::size_t k, std::uint64_t salt,
+                           bool same_maximum) {
+  core::FitOptions options;
+  options.em_tolerance = 1e-12;
+  options.em_max_iterations = 3000;
+  core::FitOptions two_maps = options;
+  two_maps.em_max_iterations = 2;
+  for (std::uint64_t set = 0; set < 4; ++set) {
+    SCOPED_TRACE(testing::Message() << "K " << k << " set " << set);
+    const EmFixture<C> fx = em_fixture<C>(k, test::test_seed(salt + set));
+    const core::EmRun<C> fast = core::run_em(fx.data, fx.start, options);
+    ASSERT_FALSE(fast.report.collapsed);
+    EXPECT_TRUE(fast.report.converged);
+    const double ll = fast.mixture.log_likelihood(fx.data);
+    const core::EmRun<C> next = core::run_em(fx.data, fast.mixture, two_maps);
+    EXPECT_LT(next.report.log_likelihood - ll, 1e-9 * std::fabs(ll));
+
+    core::Mixture<C> plain = fx.start;
+    double prev = 0.0;
+    for (std::size_t used = 0; used < options.em_max_iterations; used += 2) {
+      const core::EmRun<C> run = core::run_em(fx.data, plain, two_maps);
+      ASSERT_FALSE(run.report.collapsed);
+      plain = run.mixture;
+      const double now = run.report.log_likelihood;
+      if (std::fabs(now - prev) <=
+          options.em_tolerance * (std::fabs(prev) + 1.0)) {
+        break;
+      }
+      prev = now;
+    }
+    const double plain_ll = plain.log_likelihood(fx.data);
+    if (same_maximum) {
+      EXPECT_NEAR(ll, plain_ll, 1e-6 * std::fabs(plain_ll));
+    } else {
+      EXPECT_GE(ll, plain_ll - 1e-6 * std::fabs(plain_ll));
+    }
+  }
+}
+
+TEST(Em, AcceleratedRunReachesFixedPoint) {
+  expect_em_fixed_point<stats::SkewNormal>(2, 0xA5CE00, true);
+  expect_em_fixed_point<stats::SkewNormal>(3, 0xA5CE10, false);
+  expect_em_fixed_point<stats::Normal>(2, 0xA5CE20, true);
 }
 
 // Bitwise double round trip through the 17-digit writer and strtod —

@@ -39,6 +39,16 @@ TEST(NormalLogCdf, MatchesLogOfCdfInBulk) {
   }
 }
 
+// For x > 0, log Phi(x) = log(1 - q) with q = Phi(-x) tiny: the value
+// must keep relative precision (-q - q^2/2 to O(q^3)), which log of a
+// cdf rounded near 1 cannot (it reads 0 from x ~ 8.3 on).
+TEST(NormalLogCdf, UpperTailKeepsRelativePrecision) {
+  for (double x : {5.0, 8.0, 12.0, 20.0}) {
+    const double q = normal_cdf(-x);
+    EXPECT_NEAR(normal_log_cdf(x), -q - 0.5 * q * q, 1e-12 * q) << x;
+  }
+}
+
 TEST(NormalLogCdf, DeepTailFiniteAndMonotone) {
   double prev = normal_log_cdf(-60.0);
   EXPECT_TRUE(std::isfinite(prev));
