@@ -82,7 +82,7 @@ void BM_SkewNormalCdf(benchmark::State& state) {
 BENCHMARK(BM_SkewNormalCdf);
 
 // ---- Batch kernel throughput (src/simd), per dispatch tier. ----
-// The benchmark Arg is the simd::Tier (0 scalar, 1 sse2, 2 avx2);
+// The benchmark Arg is the simd::Tier (0 scalar, 2 avx2);
 // tiers the host cannot run are skipped, so one binary covers any
 // machine. Per-iteration time divided by kKernelBatch is the cost per
 // sample; the recorded JSON keys keep the /tier suffix.
@@ -135,7 +135,7 @@ void BM_NormalCdfKernel(benchmark::State& state) {
   }
   tally_batch(state, tier);
 }
-BENCHMARK(BM_NormalCdfKernel)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_NormalCdfKernel)->Arg(0)->Arg(2);
 
 void BM_OwensTKernel(benchmark::State& state) {
   const auto tier = static_cast<simd::Tier>(state.range(0));
@@ -150,7 +150,7 @@ void BM_OwensTKernel(benchmark::State& state) {
   }
   tally_batch(state, tier);
 }
-BENCHMARK(BM_OwensTKernel)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_OwensTKernel)->Arg(0)->Arg(2);
 
 void BM_SkewNormalLogPdfKernel(benchmark::State& state) {
   const auto tier = static_cast<simd::Tier>(state.range(0));
@@ -165,7 +165,7 @@ void BM_SkewNormalLogPdfKernel(benchmark::State& state) {
   }
   tally_batch(state, tier);
 }
-BENCHMARK(BM_SkewNormalLogPdfKernel)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_SkewNormalLogPdfKernel)->Arg(0)->Arg(2);
 
 void BM_SkewNormalCdfKernel(benchmark::State& state) {
   const auto tier = static_cast<simd::Tier>(state.range(0));
@@ -180,7 +180,7 @@ void BM_SkewNormalCdfKernel(benchmark::State& state) {
   }
   tally_batch(state, tier);
 }
-BENCHMARK(BM_SkewNormalCdfKernel)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_SkewNormalCdfKernel)->Arg(0)->Arg(2);
 
 // The fused M-step pass (NLL + score + Hessian) over one batch.
 void BM_SkewNormalNllScoreKernel(benchmark::State& state) {
@@ -194,7 +194,7 @@ void BM_SkewNormalNllScoreKernel(benchmark::State& state) {
   }
   tally_batch(state, tier);
 }
-BENCHMARK(BM_SkewNormalNllScoreKernel)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_SkewNormalNllScoreKernel)->Arg(0)->Arg(2);
 
 void BM_EmResponsibilitiesKernel(benchmark::State& state) {
   const auto tier = static_cast<simd::Tier>(state.range(0));
@@ -212,7 +212,7 @@ void BM_EmResponsibilitiesKernel(benchmark::State& state) {
   }
   tally_batch(state, tier);
 }
-BENCHMARK(BM_EmResponsibilitiesKernel)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_EmResponsibilitiesKernel)->Arg(0)->Arg(2);
 
 void BM_NormalQuantileKernel(benchmark::State& state) {
   const auto tier = static_cast<simd::Tier>(state.range(0));
@@ -227,7 +227,7 @@ void BM_NormalQuantileKernel(benchmark::State& state) {
   }
   tally_batch(state, tier);
 }
-BENCHMARK(BM_NormalQuantileKernel)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_NormalQuantileKernel)->Arg(0)->Arg(2);
 
 void BM_McSampleThroughput(benchmark::State& state) {
   const spice::StageElectrical stage;
@@ -310,15 +310,14 @@ void BM_SkewNormalMStep(benchmark::State& state) {
 }
 BENCHMARK(BM_SkewNormalMStep)
     ->Arg(0)
-    ->Arg(1)
     ->Arg(2)
     ->Unit(benchmark::kMicrosecond);
 
 // Cold cost of one characterization entry: Monte-Carlo + all four
 // model fits + metrics, with no result cache involved (LVF2_CACHE
 // unset). This is the end-to-end number the batch kernels move. The
-// Arg selects the dispatch tier (0 scalar, 1 sse2, 2 avx2) so one
-// run records the scalar-vs-vector cold-entry pair side by side.
+// Arg selects the dispatch tier (0 scalar, 2 avx2) so one run records
+// the scalar-vs-vector cold-entry pair side by side.
 void BM_CharacterizeEntryCold(benchmark::State& state) {
   if (cache::enabled()) {
     state.SkipWithError("LVF2_CACHE is set; cold-entry bench is void");
@@ -339,7 +338,6 @@ void BM_CharacterizeEntryCold(benchmark::State& state) {
 }
 BENCHMARK(BM_CharacterizeEntryCold)
     ->Arg(0)
-    ->Arg(1)
     ->Arg(2)
     ->Unit(benchmark::kMillisecond);
 

@@ -274,24 +274,22 @@ assert checked >= 2, f"only {checked} disabled-path benches recorded"
 print(f"ok: {checked} disabled-path hooks within {budget} ns")
 # The perf trajectory must carry real kernel data, not only the
 # disabled-path gauges: per-tier BM_*Kernel rows (suffix _0 scalar /
-# _1 sse2 / _2 avx2) and the cold-entry pair with its frozen pre-SIMD
-# scalar reference.
+# _2 avx2) and the cold-entry pair with its frozen pre-SIMD scalar
+# reference.
 kernel_rows = [k for k in reg if "Kernel_" in k]
 assert len(kernel_rows) >= 6, f"only {len(kernel_rows)} BM_*Kernel rows"
 cold = [k for k in reg if k.startswith("BM_CharacterizeEntryCold_")]
 assert "BM_CharacterizeEntryCold_0" in cold, "no scalar cold-entry row"
 assert "BM_CharacterizeEntryCold_pre_simd_scalar_baseline_ms" in cold, \
     "no frozen pre-SIMD cold-entry baseline"
-vec = [k for k in ("BM_CharacterizeEntryCold_1", "BM_CharacterizeEntryCold_2")
-       if k in reg]
-assert vec, "no vector-tier cold-entry row (SSE2/AVX2 both unavailable?)"
+assert "BM_CharacterizeEntryCold_2" in cold, \
+    "no AVX2 cold-entry row (AVX2 unavailable?)"
 # The Newton M-step's fused kernel and the L1 M-step row, each with a
-# scalar row and at least one vector-tier row; the M-step rows carry
-# their per-M-step Newton iteration and evaluation counters.
+# scalar row and an AVX2 row; the M-step rows carry their per-M-step
+# Newton iteration and evaluation counters.
 for row in ("BM_SkewNormalNllScoreKernel", "BM_SkewNormalMStep"):
     assert f"{row}_0" in reg, f"no scalar {row} row"
-    assert f"{row}_1" in reg or f"{row}_2" in reg, \
-        f"no vector-tier {row} row"
+    assert f"{row}_2" in reg, f"no AVX2 {row} row"
 for k in [k for k in reg if k.startswith("BM_SkewNormalMStep_")
           and k[len("BM_SkewNormalMStep_"):].isdigit()]:
     for counter in ("newton_iterations", "evaluations"):
@@ -315,10 +313,10 @@ print(f"ok: L2 row {reg[l2]:.2f} ms, "
       f"{reg[f'{l2}_em_iterations']:.0f} EM iterations, "
       f"converged {reg[f'{l2}_converged']:.0f}")
 base = reg["BM_CharacterizeEntryCold_pre_simd_scalar_baseline_ms"]
-best = min(reg[k] for k in vec)
-print(f"ok: {len(kernel_rows)} kernel rows; cold entry best vector tier "
-      f"{best:.0f} ms vs pre-SIMD scalar {base:.0f} ms "
-      f"({base / best:.1f}x)")
+avx2 = reg["BM_CharacterizeEntryCold_2"]
+print(f"ok: {len(kernel_rows)} kernel rows; cold entry AVX2 "
+      f"{avx2:.0f} ms vs pre-SIMD scalar {base:.0f} ms "
+      f"({base / avx2:.1f}x)")
 EOF
   else
     echo "python3 unavailable; skipped disabled-hook ns assertions"
@@ -754,7 +752,7 @@ REPORT="$BUILD_DIR/tools/lvf2_report"
 # The golden manifest is recorded from — and reproduced by — the
 # scalar dispatch tier at ZERO tolerance: LVF2_SIMD=scalar loops the
 # per-sample stats:: functions and is the bitwise reference path. The
-# ambient-tier smoke manifest above (avx2/sse2 where available) is
+# ambient-tier smoke manifest above (avx2 where available) is
 # held to the toleranced diff instead: the vector kernels are a few
 # ULP off per call, which EM iteration counts amplify into small QoR
 # shifts that rtol absorbs and a genuine accuracy bug does not.

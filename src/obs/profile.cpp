@@ -1,11 +1,12 @@
 #ifndef _GNU_SOURCE
-#define _GNU_SOURCE  // dladdr
+#define _GNU_SOURCE  // dladdr, pthread_getattr_np, REG_RIP
 #endif
 
 #include "obs/profile.h"
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -14,15 +15,16 @@
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 
-#if __has_include(<execinfo.h>) && __has_include(<sys/time.h>) && \
-    !defined(_WIN32)
+// The frame walk reads the interrupted PC/FP/SP out of the signal's
+// ucontext, whose layout is per OS and architecture.
+#if defined(__linux__) && (defined(__x86_64__) || defined(__aarch64__))
 #define LVF2_PROFILE_SUPPORTED 1
 #include <cxxabi.h>
 #include <dlfcn.h>
-#include <execinfo.h>
 #include <pthread.h>
 #include <signal.h>
 #include <sys/time.h>
+#include <ucontext.h>
 #else
 #define LVF2_PROFILE_SUPPORTED 0
 #endif
@@ -36,10 +38,6 @@ std::atomic<bool> g_profiler_enabled{false};
 namespace {
 
 constexpr std::size_t kMaxFrames = 48;
-// backtrace() called inside the sample handler sees its own frame and
-// the kernel signal trampoline before the interrupted code; both are
-// profiler noise and are dropped at drain time.
-constexpr std::size_t kSkipFrames = 2;
 constexpr std::size_t kMaxSamplesPerThread = 8192;
 constexpr std::size_t kMaxThreads = 128;
 constexpr std::size_t kStageBytes = 48;
@@ -76,6 +74,11 @@ std::atomic<bool> g_broadcasting{false};
 
 thread_local Slot* t_slot = nullptr;
 
+/// The registered thread's stack, [lo, hi), taken once at
+/// registration: the frame walk never reads outside it.
+thread_local std::uintptr_t t_stack_lo = 0;
+thread_local std::uintptr_t t_stack_hi = 0;
+
 /// Per-thread stage-tag stack. The name bytes are written before the
 /// depth is published (signal fence), so the handler — which runs on
 /// this same thread — never reads a half-written tag.
@@ -96,9 +99,57 @@ std::string g_last_path;
 
 #if LVF2_PROFILE_SUPPORTED
 
-/// Captures one sample of the calling thread. Async-signal-safe: no
-/// locks, no allocation (backtrace is warmed up at start()).
-void sample_current_thread() {
+void record_stack_bounds() {
+  pthread_attr_t attr;
+  if (pthread_getattr_np(pthread_self(), &attr) != 0) return;
+  void* base = nullptr;
+  std::size_t size = 0;
+  if (pthread_attr_getstack(&attr, &base, &size) == 0) {
+    t_stack_lo = reinterpret_cast<std::uintptr_t>(base);
+    t_stack_hi = t_stack_lo + size;
+  }
+  pthread_attr_destroy(&attr);
+}
+
+/// Bounded frame-pointer walk from the interrupted context. frames[0]
+/// is the interrupted PC; each further frame is the return address of
+/// a frame record {saved FP, return address}. A record is followed
+/// only while it is aligned, strictly above the previous one and
+/// inside [interrupted SP, stack top), so a frame built without frame
+/// pointers (FP holding arbitrary data) ends the walk instead of
+/// faulting it. Reads nothing but this thread's live stack.
+std::size_t walk_frames(const void* context, void** frames) {
+  const mcontext_t& mc = static_cast<const ucontext_t*>(context)->uc_mcontext;
+#if defined(__x86_64__)
+  const auto pc = static_cast<std::uintptr_t>(mc.gregs[REG_RIP]);
+  auto fp = static_cast<std::uintptr_t>(mc.gregs[REG_RBP]);
+  const auto sp = static_cast<std::uintptr_t>(mc.gregs[REG_RSP]);
+#else
+  const auto pc = static_cast<std::uintptr_t>(mc.pc);
+  auto fp = static_cast<std::uintptr_t>(mc.regs[29]);
+  const auto sp = static_cast<std::uintptr_t>(mc.sp);
+#endif
+  std::size_t n = 0;
+  frames[n++] = reinterpret_cast<void*>(pc);
+  constexpr std::uintptr_t kRecord = 2 * sizeof(std::uintptr_t);
+  const std::uintptr_t hi = t_stack_hi;
+  // Not on the registered stack (e.g. an alternate signal stack).
+  if (sp < t_stack_lo || sp >= hi) return n;
+  std::uintptr_t lo = sp;
+  while (n < kMaxFrames && fp % alignof(std::uintptr_t) == 0 && fp >= lo &&
+         fp <= hi - kRecord) {
+    const auto* record = reinterpret_cast<const std::uintptr_t*>(fp);
+    if (record[1] == 0) break;
+    frames[n++] = reinterpret_cast<void*>(record[1]);
+    lo = fp + kRecord;
+    fp = record[0];
+  }
+  return n;
+}
+
+/// Captures one sample of the calling thread, interrupted at
+/// `context`. Async-signal-safe: no locks, no allocation, no unwinder.
+void sample_current_thread(const void* context) {
   Slot* slot = t_slot;
   if (slot == nullptr) return;
   Sample* buffer = slot->samples.load(std::memory_order_acquire);
@@ -110,7 +161,7 @@ void sample_current_thread() {
   }
   Sample& sample = buffer[index];
   sample.frame_count =
-      ::backtrace(sample.frames, static_cast<int>(kMaxFrames));
+      static_cast<std::int32_t>(walk_frames(context, sample.frames));
   const std::uint32_t depth = t_stages.depth.load(std::memory_order_relaxed);
   if (depth > 0) {
     const std::uint32_t top = std::min<std::uint32_t>(depth, kMaxStageDepth);
@@ -121,17 +172,19 @@ void sample_current_thread() {
   slot->count.store(index + 1, std::memory_order_release);
 }
 
-void sample_signal_handler(int /*signum*/) {
+void sample_signal_handler(int /*signum*/, siginfo_t* /*info*/,
+                           void* context) {
   if (!profiler_enabled()) return;
   const int saved_errno = errno;
-  sample_current_thread();
+  sample_current_thread(context);
   errno = saved_errno;
 }
 
 /// SIGALRM from the interval timer, delivered to an arbitrary thread:
 /// samples the receiving thread directly and forwards SIGPROF to
 /// every other registered thread. pthread_kill is async-signal-safe.
-void broadcast_signal_handler(int /*signum*/) {
+void broadcast_signal_handler(int /*signum*/, siginfo_t* /*info*/,
+                              void* context) {
   if (!profiler_enabled()) return;
   const int saved_errno = errno;
   g_broadcasting.store(true, std::memory_order_seq_cst);
@@ -141,7 +194,7 @@ void broadcast_signal_handler(int /*signum*/) {
     Slot& slot = g_slots[i];
     if (!slot.in_use.load(std::memory_order_acquire)) continue;
     if (pthread_equal(slot.thread, self)) {
-      sample_current_thread();
+      sample_current_thread(context);
     } else {
       pthread_kill(slot.thread, SIGPROF);
     }
@@ -154,14 +207,14 @@ bool install_handlers_locked() {
   if (g_handlers_installed) return true;
   struct sigaction sample_action;
   std::memset(&sample_action, 0, sizeof(sample_action));
-  sample_action.sa_handler = sample_signal_handler;
-  sample_action.sa_flags = SA_RESTART;
+  sample_action.sa_sigaction = sample_signal_handler;
+  sample_action.sa_flags = SA_RESTART | SA_SIGINFO;
   sigemptyset(&sample_action.sa_mask);
   sigaddset(&sample_action.sa_mask, SIGALRM);
   struct sigaction broadcast_action;
   std::memset(&broadcast_action, 0, sizeof(broadcast_action));
-  broadcast_action.sa_handler = broadcast_signal_handler;
-  broadcast_action.sa_flags = SA_RESTART;
+  broadcast_action.sa_sigaction = broadcast_signal_handler;
+  broadcast_action.sa_flags = SA_RESTART | SA_SIGINFO;
   sigemptyset(&broadcast_action.sa_mask);
   sigaddset(&broadcast_action.sa_mask, SIGPROF);
   if (sigaction(SIGPROF, &sample_action, nullptr) != 0 ||
@@ -278,6 +331,10 @@ std::string current_stage() {
 void register_current_thread() {
 #if LVF2_PROFILE_SUPPORTED
   if (t_slot != nullptr) return;
+  record_stack_bounds();
+  // The bounds must be in place before t_slot arms this thread's
+  // handler.
+  std::atomic_signal_fence(std::memory_order_seq_cst);
   std::lock_guard<std::mutex> lock(g_slots_mutex);
   for (std::size_t i = 0; i < kMaxThreads; ++i) {
     Slot& slot = g_slots[i];
@@ -411,11 +468,6 @@ bool Profiler::start(const ProfileOptions& options) {
     return false;
   }
   if (!install_handlers_locked()) return false;
-  // backtrace() lazily loads libgcc on first use (a malloc + dlopen);
-  // force that outside signal context.
-  void* warmup[4];
-  ::backtrace(warmup, 4);
-
   register_current_thread();
   {
     std::lock_guard<std::mutex> slots_lock(g_slots_mutex);
@@ -484,10 +536,8 @@ void Profiler::stop() {
     ++stats.threads;
     for (std::uint32_t s = 0; s < count; ++s) {
       const Sample& sample = buffer[s];
-      const std::size_t frames =
-          static_cast<std::size_t>(std::max<std::int32_t>(sample.frame_count, 0));
-      const std::size_t skip = std::min(kSkipFrames, frames);
-      folded.add(sample.stage, sample.frames + skip, frames - skip);
+      folded.add(sample.stage, sample.frames,
+                 static_cast<std::size_t>(sample.frame_count));
     }
   }
 

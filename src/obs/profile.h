@@ -1,10 +1,12 @@
 #pragma once
 // Sampling wall-clock profiler: a POSIX interval timer (SIGALRM)
 // broadcasts a sample signal (SIGPROF) to every registered thread;
-// each thread's handler captures its own backtrace() plus the active
-// trace-span stage into a preallocated per-thread buffer. Buffers are
-// drained at stop()/exit into a flamegraph-compatible folded-stack
-// file: one line per unique (stage, stack), root frame first,
+// each thread's handler walks its own frame-pointer chain (the lvf2
+// libraries build with -fno-omit-frame-pointer) and records it plus
+// the active trace-span stage into a preallocated per-thread buffer.
+// Buffers are drained at stop()/exit into a flamegraph-compatible
+// folded-stack file: one line per unique (stage, stack), root frame
+// first,
 //
 //   characterize.entry;run_monte_carlo(...);simulate_stage(...) 42
 //
@@ -87,8 +89,8 @@ struct ThreadRegistration {
 /// frames; the profiler feeds it at drain time, never from a handler.
 class FoldedProfile {
  public:
-  /// Merges one sample: `frames` are innermost-first return addresses
-  /// (as delivered by backtrace()), `stage` the span tag ("" becomes
+  /// Merges one sample: `frames` are innermost-first code addresses
+  /// (as the frame walk records them), `stage` the span tag ("" becomes
   /// "(untagged)").
   void add(std::string_view stage, const void* const* frames,
            std::size_t frame_count, std::uint64_t count = 1);

@@ -1,11 +1,8 @@
 // Tier resolution and the public span wrappers. The tier is resolved
-// exactly once (first kernel call or active_tier() query): the
-// LVF2_SIMD environment variable picks a tier directly
-// (avx2|sse2|scalar) or defers to CPUID (auto / unset). An
-// unavailable explicit choice degrades to the best available tier
-// rather than aborting, and the final choice lands in the run
-// manifest as "simd.tier" so every artifact records which kernels
-// produced it.
+// exactly once (first kernel call or active_tier() query) from the
+// LVF2_SIMD environment variable and CPUID, never aborting on a bad
+// value, and the final choice lands in the run manifest as
+// "simd.tier" so every artifact records which kernels produced it.
 
 #include "simd/simd.h"
 
@@ -27,8 +24,6 @@ const KernelTable* table_for(Tier tier) {
   switch (tier) {
     case Tier::kAvx2:
       return detail::avx2_kernels();
-    case Tier::kSse2:
-      return detail::sse2_kernels();
     case Tier::kScalar:
       break;
   }
@@ -43,28 +38,12 @@ bool cpu_has_avx2_fma() {
 #endif
 }
 
-Tier best_available() {
-  if (detail::avx2_kernels() != nullptr && cpu_has_avx2_fma()) {
-    return Tier::kAvx2;
-  }
-  if (detail::sse2_kernels() != nullptr) return Tier::kSse2;
-  return Tier::kScalar;
-}
-
 Tier resolve_from_env() {
+  // Only "scalar" pins a tier. Unset, empty, auto, avx2 and any unknown
+  // token take the best tier this binary and CPU can run.
   const char* env = std::getenv("LVF2_SIMD");
-  if (env == nullptr || *env == '\0' || std::strcmp(env, "auto") == 0) {
-    return best_available();
-  }
-  if (std::strcmp(env, "scalar") == 0) return Tier::kScalar;
-  if (std::strcmp(env, "sse2") == 0 && tier_available(Tier::kSse2)) {
-    return Tier::kSse2;
-  }
-  if (std::strcmp(env, "avx2") == 0 && tier_available(Tier::kAvx2)) {
-    return Tier::kAvx2;
-  }
-  // Unknown token or unavailable tier: fall back rather than abort.
-  return best_available();
+  if (env != nullptr && std::strcmp(env, "scalar") == 0) return Tier::kScalar;
+  return tier_available(Tier::kAvx2) ? Tier::kAvx2 : Tier::kScalar;
 }
 
 std::atomic<const KernelTable*> g_table{nullptr};
@@ -106,8 +85,6 @@ const char* tier_name(Tier tier) {
   switch (tier) {
     case Tier::kAvx2:
       return "avx2";
-    case Tier::kSse2:
-      return "sse2";
     case Tier::kScalar:
       break;
   }
@@ -118,8 +95,6 @@ bool tier_available(Tier tier) {
   switch (tier) {
     case Tier::kAvx2:
       return detail::avx2_kernels() != nullptr && cpu_has_avx2_fma();
-    case Tier::kSse2:
-      return detail::sse2_kernels() != nullptr;
     case Tier::kScalar:
       break;
   }

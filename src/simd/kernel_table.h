@@ -40,7 +40,7 @@ struct KernelTable {
   // Fused M-step pass: out[0] = -sum_{w_i > 0} w_i * sn_log_pdf(x_i),
   // out[1..3] the weighted score and out[4..9] the packed Hessian of
   // the log-likelihood in (xi, omega, alpha). One kernels_impl.h body
-  // serves all three tiers (the scalar tier is its index-order loop).
+  // serves both tiers (the scalar tier is its index-order loop).
   void (*sn_nll_score)(double xi, double omega, double alpha,
                        const double* x, const double* w, std::size_t n,
                        double* out);
@@ -49,7 +49,6 @@ struct KernelTable {
 /// Always available (element-wise delegation to stats::).
 const KernelTable* scalar_kernels();
 /// nullptr when the TU could not be built for the ISA.
-const KernelTable* sse2_kernels();
 const KernelTable* avx2_kernels();
 
 }  // namespace lvf2::simd::detail

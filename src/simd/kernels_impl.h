@@ -1,6 +1,6 @@
 #pragma once
-// Templated bodies of the SIMD batch kernels, instantiated once per
-// ISA by kernels_sse2.cpp / kernels_avx2.cpp. Layout of every kernel:
+// Templated bodies of the SIMD batch kernels, instantiated over the
+// AVX2 lane type by kernels_avx2.cpp. Layout of every kernel:
 // whole vectors through the vmath.h lane code, the < kLanes tail (and
 // any special-value lanes) through the scalar stats:: functions — the
 // tail is therefore exact, and special handling (NaN/inf propagation)

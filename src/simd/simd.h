@@ -1,12 +1,11 @@
 #pragma once
 // Public batch-kernel API for the statistical hot path. A dispatch
-// tier (scalar / SSE2 / AVX2+FMA) is resolved once, on first use,
-// from CPUID plus the LVF2_SIMD environment override
-// (auto|avx2|sse2|scalar), and recorded in the run manifest as
-// "simd.tier". The scalar tier delegates element-wise to the stats::
-// per-sample functions and is bitwise identical to calling them in a
-// loop; the SIMD tiers agree to a few ULP (see tests/test_simd.cpp
-// for the exact bounds).
+// tier (scalar / AVX2+FMA) is resolved once, on first use, from CPUID
+// plus the LVF2_SIMD environment override (auto|avx2|scalar), and
+// recorded in the run manifest as "simd.tier". The scalar tier
+// delegates element-wise to the stats:: per-sample functions and is
+// bitwise identical to calling them in a loop; the AVX2 tier agrees to
+// a few ULP (see tests/test_simd.cpp for the exact bounds).
 //
 // All span overloads require out.size() >= x.size(); in-place
 // (out == x) is allowed for the unary kernels.
@@ -16,16 +15,16 @@
 
 namespace lvf2::simd {
 
+// The values are the bench_perf Arg and row suffix (BM_*_0, BM_*_2).
 enum class Tier {
   kScalar = 0,
-  kSse2 = 1,
   kAvx2 = 2,
 };
 
 /// Tier in effect (resolves on first call; thread-safe).
 Tier active_tier();
 
-/// "scalar" / "sse2" / "avx2".
+/// "scalar" / "avx2".
 const char* tier_name(Tier tier);
 
 /// Whether the binary carries kernels for `tier` and the CPU can run

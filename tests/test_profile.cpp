@@ -73,7 +73,7 @@ TEST(FoldedProfile, AggregatesIdenticalStacksAndRendersRootFirst) {
   obs::prof::FoldedProfile profile;
   const void* inner = reinterpret_cast<const void*>(0x1001);
   const void* outer = reinterpret_cast<const void*>(0x2002);
-  const void* frames[] = {inner, outer};  // innermost first (backtrace order)
+  const void* frames[] = {inner, outer};  // innermost first (walk order)
   profile.add("em.fit", frames, 2);
   profile.add("em.fit", frames, 2, 4);
   const void* other[] = {outer};

@@ -4,14 +4,14 @@
 //  - the scalar tier is BITWISE identical to looping the per-sample
 //    stats:: functions in index order — it is the tier the
 //    zero-tolerance golden-manifest gate runs under;
-//  - the SIMD tiers (SSE2, AVX2+FMA) agree with the scalar tier to a
+//  - the SIMD tier (AVX2+FMA) agrees with the scalar tier to a
 //    small documented ULP bound per kernel, with an absolute-error
 //    escape hatch where the result crosses zero (log Phi at the
 //    right tail rounds to -0.0 in one formulation and to -5.7e-17 in
 //    another: astronomically many ULP, physically nothing);
 //  - edge inputs (signed zero, denormals, infinities, NaN, deep
 //    tails) neither trap nor poison neighboring lanes;
-//  - every vector width's remainder loop (n % lanes != 0) matches the
+//  - the vector tier's remainder loop (n % lanes != 0) matches the
 //    full-width path.
 //
 // The bounds asserted here are roughly 2x the worst deviation
@@ -67,8 +67,7 @@ std::uint64_t ulp_diff(double a, double b) {
 // Every tier the build machine can actually run.
 std::vector<simd::Tier> reachable_tiers() {
   std::vector<simd::Tier> tiers;
-  for (simd::Tier t :
-       {simd::Tier::kScalar, simd::Tier::kSse2, simd::Tier::kAvx2}) {
+  for (simd::Tier t : {simd::Tier::kScalar, simd::Tier::kAvx2}) {
     if (simd::tier_available(t)) tiers.push_back(t);
   }
   return tiers;
@@ -94,7 +93,7 @@ std::vector<double> edge_and_sweep_inputs() {
   return x;
 }
 
-// Per-kernel deviation bound of the SIMD tiers vs the scalar tier:
+// Per-kernel deviation bound of the AVX2 tier vs the scalar tier:
 // results agree to `ulp` ULP, or to `abs` absolute where the ULP
 // measure explodes because the comparison straddles zero.
 struct Bound {
@@ -629,7 +628,7 @@ TEST(SimdVectorTiers, SnWeightedNllCloseToScalar) {
 // near the optimum a score sum cancels to ~0, so a plain relative or
 // ULP bound would be meaningless). Worst measured 8.2e-13 (the
 // alpha-alpha Hessian entry at alpha = 8, where zeta2 = -zeta1 (u +
-// zeta1) cancels), on SSE2 and AVX2 alike.
+// zeta1) cancels).
 constexpr double kSnScoreRelBound = 2e-12;
 
 TEST(SimdVectorTiers, SnNllScoreWithinBounds) {
@@ -658,7 +657,7 @@ TEST(SimdVectorTiers, SnNllScoreWithinBounds) {
 // ---- structural properties -----------------------------------------
 
 TEST(SimdStructural, RemainderSizesCoverEveryElement) {
-  // n = 0..9 exercises every remainder count of both vector widths.
+  // n = 0..9 exercises every remainder count of the 4-lane width.
   // Each element must be written (the 777 sentinel would be ~1e18 ULP
   // off) and agree with the scalar tier within the kernel's bound,
   // whether it went through the vector body or the remainder loop;

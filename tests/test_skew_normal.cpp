@@ -259,8 +259,7 @@ constexpr double kShapes[] = {0.0, 2.0, -2.0, 8.0, -8.0, 30.0, -30.0};
 // weighted NLL above the start's, on every tier, from near and far
 // starts.
 TEST(SkewNormalMle, NewtonStepNeverLowersWeightedLogLikelihood) {
-  for (const simd::Tier tier :
-       {simd::Tier::kScalar, simd::Tier::kSse2, simd::Tier::kAvx2}) {
+  for (const simd::Tier tier : {simd::Tier::kScalar, simd::Tier::kAvx2}) {
     if (!simd::tier_available(tier)) continue;
     const test::TierGuard scope(tier);
     std::uint64_t salt = 0x4E57;
