@@ -12,6 +12,7 @@
 #include "bench_util.h"
 #include "cache/cache.h"
 #include "cells/characterize.h"
+#include "cells/library.h"
 #include "core/em.h"
 #include "core/lvf2_model.h"
 #include "exec/pool.h"
@@ -19,6 +20,8 @@
 #include "core/model_factory.h"
 #include "obs/obs.h"
 #include "robust/faults.h"
+#include "serve/handlers.h"
+#include "serve/protocol.h"
 #include "serve/reqtrace.h"
 #include "simd/simd.h"
 #include "spice/cellsim.h"
@@ -637,6 +640,34 @@ void BM_StatisticalMax(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StatisticalMax)->Unit(benchmark::kMicrosecond);
+
+// L7 ledger row: one served yield_hs request (sigma 4, INV_X1 at grid
+// point 0/0) through serve::handle_request, its entry already in the
+// hot LRU. /0 is cold: the proposal-shift memo is cleared every
+// iteration, so each request runs the pilot and then samples. /1 is
+// warm: the memo holds the shift and the request only samples.
+void BM_ServeYieldHs(benchmark::State& state) {
+  static serve::HandlerContext ctx;
+  if (ctx.library.size() == 0) ctx.library = cells::build_paper_library();
+  serve::Request request;
+  if (!serve::parse_request(
+           R"({"id":1,"op":"yield_hs","params":{"cell":"INV_X1",)"
+           R"("load_idx":0,"slew_idx":0,"sigma":4,"max_samples":16384}})",
+           request)
+           .is_ok()) {
+    state.SkipWithError("bad yield_hs request");
+    return;
+  }
+  const bool warm = state.range(0) == 1;
+  serve::handle_request(ctx, request, serve::ExecMode::kFull);  // entry
+  for (auto _ : state) {
+    if (!warm) ctx.yield_shift.clear();
+    benchmark::DoNotOptimize(
+        serve::handle_request(ctx, request, serve::ExecMode::kFull));
+  }
+  state.SetLabel(warm ? "warm" : "cold");
+}
+BENCHMARK(BM_ServeYieldHs)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // Forwards to the console reporter while capturing each run's
 // per-iteration real time, so the scaling numbers (most importantly

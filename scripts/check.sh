@@ -251,7 +251,7 @@ if [ "$PERF" = 1 ]; then
   # pair into BENCH_perf_micro.json (env -u LVF2_CACHE: any cache
   # setting, even =off, voids the cold-entry bench).
   env -u LVF2_CACHE LVF2_BENCH_JSON="$(pwd)" "$BUILD_DIR/bench/bench_perf" \
-    --benchmark_filter='BM_Disabled.*|BM_PoolTelemetryOverhead|BM_.*Kernel/.*|BM_SkewNormalMStep/.*|BM_CharacterizeEntryCold/.*|BM_FitModel/.*|BM_Lvf2FitBinned/512' \
+    --benchmark_filter='BM_Disabled.*|BM_PoolTelemetryOverhead|BM_.*Kernel/.*|BM_SkewNormalMStep/.*|BM_CharacterizeEntryCold/.*|BM_FitModel/.*|BM_Lvf2FitBinned/512|BM_ServeYieldHs/.*' \
     --benchmark_min_time=0.2 >"$PERF_DIR/bench_perf.txt" 2>&1 \
     || { cat "$PERF_DIR/bench_perf.txt"; exit 1; }
   [ -s BENCH_perf_micro.json ] \
@@ -312,6 +312,14 @@ assert f"{l2}_converged" in reg, f"{l2} has no converged counter"
 print(f"ok: L2 row {reg[l2]:.2f} ms, "
       f"{reg[f'{l2}_em_iterations']:.0f} EM iterations, "
       f"converged {reg[f'{l2}_converged']:.0f}")
+# L7 row: one served yield_hs request, with the proposal-shift memo
+# cleared (_0, pilot + sampling) and kept (_1, sampling only).
+for k in ("BM_ServeYieldHs_0", "BM_ServeYieldHs_1"):
+    assert k in reg, f"no {k} row"
+assert reg["BM_ServeYieldHs_1"] < reg["BM_ServeYieldHs_0"], \
+    "a memoized yield_hs request is not cheaper than a cold one"
+print(f"ok: L7 yield_hs row cold {reg['BM_ServeYieldHs_0']:.2f} ms, "
+      f"warm {reg['BM_ServeYieldHs_1']:.2f} ms")
 base = reg["BM_CharacterizeEntryCold_pre_simd_scalar_baseline_ms"]
 avx2 = reg["BM_CharacterizeEntryCold_2"]
 print(f"ok: {len(kernel_rows)} kernel rows; cold entry AVX2 "

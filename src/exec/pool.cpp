@@ -238,7 +238,11 @@ void Pool::worker_loop(std::size_t telemetry_slot) {
     Job* job = nullptr;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
+      {
+        // Parked: the profiler counts these samples apart.
+        obs::prof::IdleScope parked;
+        work_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
+      }
       if (stop_) return;
       seen = generation_;
       job = job_;

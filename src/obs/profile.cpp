@@ -62,6 +62,7 @@ struct Slot {
   std::atomic<Sample*> samples{nullptr};
   std::atomic<std::uint32_t> count{0};
   std::atomic<std::uint64_t> dropped{0};
+  std::atomic<std::uint64_t> idle{0};
 };
 
 Slot g_slots[kMaxThreads];
@@ -87,6 +88,10 @@ struct StageStack {
   std::atomic<std::uint32_t> depth{0};
 };
 thread_local StageStack t_stages;
+
+/// Set while the thread is inside an IdleScope. Written and read only
+/// by this thread (the handler runs on it), so relaxed order suffices.
+thread_local std::atomic<bool> t_idle{false};
 
 std::mutex g_session_mutex;
 ProfileOptions g_options;
@@ -152,6 +157,10 @@ std::size_t walk_frames(const void* context, void** frames) {
 void sample_current_thread(const void* context) {
   Slot* slot = t_slot;
   if (slot == nullptr) return;
+  if (t_idle.load(std::memory_order_relaxed)) {
+    slot->idle.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
   Sample* buffer = slot->samples.load(std::memory_order_acquire);
   if (buffer == nullptr) return;
   const std::uint32_t index = slot->count.load(std::memory_order_relaxed);
@@ -321,6 +330,10 @@ void pop_stage() {
   if (depth > 0) t_stages.depth.store(depth - 1, std::memory_order_relaxed);
 }
 
+IdleScope::IdleScope() { t_idle.store(true, std::memory_order_relaxed); }
+
+IdleScope::~IdleScope() { t_idle.store(false, std::memory_order_relaxed); }
+
 std::string current_stage() {
   const std::uint32_t depth = t_stages.depth.load(std::memory_order_relaxed);
   if (depth == 0) return "";
@@ -455,6 +468,7 @@ ProfileStats Profiler::stats() const {
     const std::uint32_t count = g_slots[i].count.load(std::memory_order_acquire);
     stats.samples += count;
     stats.dropped += g_slots[i].dropped.load(std::memory_order_relaxed);
+    stats.idle += g_slots[i].idle.load(std::memory_order_relaxed);
     if (count > 0) ++stats.threads;
   }
   return stats;
@@ -476,6 +490,7 @@ bool Profiler::start(const ProfileOptions& options) {
       Slot& slot = g_slots[i];
       slot.count.store(0, std::memory_order_relaxed);
       slot.dropped.store(0, std::memory_order_relaxed);
+      slot.idle.store(0, std::memory_order_relaxed);
       if (slot.in_use.load(std::memory_order_relaxed)) {
         ensure_buffer_locked(slot);
       }
@@ -501,6 +516,7 @@ bool Profiler::start(const ProfileOptions& options) {
            {"hz", json_number(options.hz)},
            {"samples", json_u64(stats.samples)},
            {"dropped", json_u64(stats.dropped)},
+           {"idle", json_u64(stats.idle)},
            {"threads", json_u64(stats.threads)}});
     });
   });
@@ -531,6 +547,7 @@ void Profiler::stop() {
     const Sample* buffer = slot.samples.load(std::memory_order_acquire);
     const std::uint32_t count = slot.count.load(std::memory_order_acquire);
     stats.dropped += slot.dropped.load(std::memory_order_relaxed);
+    stats.idle += slot.idle.load(std::memory_order_relaxed);
     if (buffer == nullptr || count == 0) continue;
     stats.samples += count;
     ++stats.threads;
@@ -545,6 +562,7 @@ void Profiler::stop() {
   last_path_ = g_options.path;
   counter("profile.samples").add(stats.samples);
   counter("profile.dropped").add(stats.dropped);
+  counter("profile.idle").add(stats.idle);
   g_last_stats = stats;
   g_running = false;
 #endif

@@ -70,6 +70,19 @@ void pop_stage();
 /// support for the tagging machinery.
 std::string current_stage();
 
+/// Marks the calling thread parked for the scope's lifetime: an
+/// exec::Pool worker waiting for a job. A sample that lands while the
+/// thread is parked is not folded into the profile; it only counts in
+/// ProfileStats::idle, so the flame view shows work, not waiting.
+/// One thread-local relaxed store each way, profiler on or off.
+class IdleScope {
+ public:
+  IdleScope();
+  ~IdleScope();
+  IdleScope(const IdleScope&) = delete;
+  IdleScope& operator=(const IdleScope&) = delete;
+};
+
 /// Registers the calling thread for sampling until the matching
 /// unregister (RAII: ThreadRegistration). Safe to call when the
 /// profiler is off — the slot simply stays idle until a session
@@ -127,6 +140,7 @@ std::string symbolize_address(const void* addr);
 struct ProfileStats {
   std::uint64_t samples = 0;  ///< captured across all threads
   std::uint64_t dropped = 0;  ///< lost to full per-thread buffers
+  std::uint64_t idle = 0;     ///< landed in an IdleScope, not folded
   std::uint64_t threads = 0;  ///< thread buffers that saw samples
 };
 

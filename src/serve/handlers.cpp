@@ -1,5 +1,6 @@
 #include "serve/handlers.h"
 
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <optional>
@@ -41,6 +42,7 @@ struct ArcRef {
   std::string arc_label;
   std::size_t load_idx = 0;
   std::size_t slew_idx = 0;
+  std::uint64_t entry_key = 0;  ///< cells::entry_cache_key of the entry
 };
 
 core::StatusOr<ArcRef> resolve_arc(const HandlerContext& ctx,
@@ -96,6 +98,9 @@ core::StatusOr<ArcRef> resolve_arc(const HandlerContext& ctx,
   }
   ref.load_idx = static_cast<std::size_t>(li);
   ref.slew_idx = static_cast<std::size_t>(si);
+  ref.entry_key = cells::entry_cache_key(ctx.corner, ctx.characterize,
+                                         *ref.cell, *ref.arc, ref.arc_label,
+                                         ref.load_idx, ref.slew_idx);
   return ref;
 }
 
@@ -191,10 +196,7 @@ EntryView point_mass_entry(const HandlerContext& ctx, const ArcRef& ref) {
 // catch and re-enters at the floor.
 EntryView acquire_entry(HandlerContext& ctx, const ArcRef& ref,
                         ExecMode mode) {
-  const std::uint64_t key =
-      cells::entry_cache_key(ctx.corner, ctx.characterize, *ref.cell,
-                             *ref.arc, ref.arc_label, ref.load_idx,
-                             ref.slew_idx);
+  const std::uint64_t key = ref.entry_key;
   // On the full path a cache hit is simply the fast way to the same
   // bytes ("none"); on a shed path it is rung 1 of the chain and the
   // client is told ("cached").
@@ -417,9 +419,12 @@ HandlerResult op_path_ssta(HandlerContext& ctx, const ArcRef& ref,
 // entry's LVF2 delay model. The full path runs the importance-sampling
 // engine (src/yield/) on the arc's stage — its sampling loops are
 // checkpointed like every other compute here, so an armed deadline
-// cancels mid-batch and handle_request re-enters at the floor. Shed
-// rungs skip the sampling entirely and answer from the (degraded)
-// model tail, honestly tagged via the degradation chain.
+// cancels mid-batch and handle_request re-enters at the floor. The
+// frozen proposal shift is memoized in ctx.yield_shift, so a repeat
+// request skips the pilot and only samples; its answer is the cold
+// one bit for bit. Shed rungs skip the sampling entirely and answer
+// from the (degraded) model tail, honestly tagged via the degradation
+// chain.
 HandlerResult op_yield_hs(HandlerContext& ctx, const ArcRef& ref,
                           ExecMode mode, const obs::JsonValue& params) {
   double sigma = params.number_or("sigma", 3.0);
@@ -464,7 +469,21 @@ HandlerResult op_yield_hs(HandlerContext& ctx, const ArcRef& ref,
       ctx.characterize.grid.loads_pf[ref.load_idx]};
   const yield::ImportanceSampler sampler(ref.arc->stage, condition,
                                          ctx.corner, cfg);
-  const yield::IsEstimate est = sampler.estimate(threshold);
+  // The memo key. find_shift reads the stage, condition and corner
+  // (all covered by the entry's content-addressed key), the threshold,
+  // cfg.seed (the condition seed with sigma folded in) and
+  // pilot_samples, refine_iterations, shards and use_lhs, which this op
+  // fixes. So the shift is a function of (entry key, seed, threshold
+  // bits). A CancelledError out of find_shift stores nothing.
+  const std::uint64_t shift_key = stats::combine_seed(
+      stats::combine_seed(ref.entry_key, cfg.seed),
+      std::bit_cast<std::uint64_t>(threshold));
+  std::optional<yield::ShiftVector> shift = ctx.yield_shift.get(shift_key);
+  if (!shift) {
+    shift = sampler.find_shift(threshold);
+    ctx.yield_shift.put(shift_key, *shift);
+  }
+  const yield::IsEstimate est = sampler.estimate_with_shift(threshold, *shift);
   double shift_norm = 0.0;
   for (const double s : est.shift) shift_norm += s * s;
   shift_norm = std::sqrt(shift_norm);
@@ -500,6 +519,8 @@ HandlerResult op_stats(const HandlerContext& ctx) {
   add("shed_drain", "serve.shed.drain");
   add("lru_hit", "serve.lru.hit");
   add("lru_miss", "serve.lru.miss");
+  add("yield_shift_hit", "serve.yield_shift.hit");
+  add("yield_shift_miss", "serve.yield_shift.miss");
   add("cache_hit", "cache.hit");
   add("cache_miss", "cache.miss");
   out.result.object.emplace_back(

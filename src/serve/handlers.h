@@ -30,6 +30,7 @@
 #include "serve/lru.h"
 #include "serve/protocol.h"
 #include "spice/process.h"
+#include "yield/importance.h"
 
 namespace lvf2::serve {
 
@@ -41,13 +42,17 @@ enum class ExecMode {
 };
 
 /// Long-lived handler state: the library being served, the
-/// characterization configuration (grid / samples / corner), and the
-/// hot-entry LRU. One per server; all methods thread-safe.
+/// characterization configuration (grid / samples / corner), the
+/// hot-entry LRU and the yield_hs shift memo. One per server; all
+/// methods thread-safe.
 struct HandlerContext {
   cells::StandardCellLibrary library;
   spice::ProcessCorner corner = spice::ProcessCorner::tt_global_local_mc();
   cells::CharacterizeOptions characterize;
-  HotLru lru;
+  Lru<std::string> lru{"serve.lru"};
+  /// Frozen importance-sampling proposal shifts of served yield_hs
+  /// requests (op_yield_hs in serve/handlers.cpp documents the key).
+  Lru<yield::ShiftVector> yield_shift{"serve.yield_shift"};
 
   /// Single-flight coalescing state for identical-key full
   /// characterizations (acquire_entry): the first request through
@@ -70,7 +75,7 @@ struct HandlerResult {
 /// Executes one request under `mode`. Never throws: a deadline expiry
 /// mid-compute is caught internally and re-answered from the
 /// degradation floor; any other failure becomes the result's Status.
-/// Ops: ping, stats, metrics, arc_dist, bin, yield3, path_ssta
+/// Ops: ping, stats, metrics, arc_dist, bin, yield3, yield_hs, path_ssta
 /// (README "Serving" documents params and results).
 HandlerResult handle_request(HandlerContext& ctx, const Request& request,
                              ExecMode mode);

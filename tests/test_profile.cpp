@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/pool.h"
 #include "obs/obs.h"
 #include "report.h"
 
@@ -198,6 +199,50 @@ TEST(Profiler, SamplesBusyLoopIntoFoldedFile) {
   std::uint64_t total = 0;
   for (const tools::FoldedStack& s : *stacks) total += s.count;
   EXPECT_EQ(total, stats.samples);
+  std::remove(options.path.c_str());
+}
+
+// Parked pool workers are sampled but not folded: their samples count
+// apart as ProfileStats::idle, so the folded file holds only work.
+TEST(Profiler, ParkedPoolWorkersCountApart) {
+  exec::Pool pool(2);
+  // One job first, so both workers have started and gone back to their
+  // wait before the session begins.
+  pool.run(2, 1, 3, [](std::size_t) {});
+  obs::prof::Profiler& profiler = obs::prof::Profiler::instance();
+  ASSERT_FALSE(profiler.running());
+  obs::prof::ProfileOptions options;
+  options.path = temp_path("profile_parked.folded");
+  options.hz = 500;
+  if (!profiler.start(options)) {
+    GTEST_SKIP() << "platform without profiler support";
+  }
+  volatile double sink = 0.0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+  {
+    obs::TraceSpan span("profile.test.busy");
+    while (std::chrono::steady_clock::now() < deadline) {
+      for (int i = 1; i < 2000; ++i) sink = sink + 1.0 / i;
+    }
+  }
+  profiler.stop();
+
+  const obs::prof::ProfileStats stats = profiler.stats();
+  EXPECT_GT(stats.idle, 0u);
+  EXPECT_GT(stats.samples, 0u);
+  const auto stacks = tools::parse_folded(read_file(options.path));
+  ASSERT_TRUE(stacks.has_value());
+  std::uint64_t total = 0, busy = 0;
+  for (const tools::FoldedStack& s : *stacks) {
+    total += s.count;
+    if (s.stack.rfind("profile.test.busy", 0) == 0) busy += s.count;
+  }
+  EXPECT_EQ(total, stats.samples);
+  // The folded file is the busy main thread's: two parked workers
+  // would otherwise hold about two thirds of it. A worker can still be
+  // sampled on its way back into the wait, so the bound is not 100 %.
+  EXPECT_GE(busy * 10, total * 8) << busy << " of " << total;
   std::remove(options.path.c_str());
 }
 

@@ -13,6 +13,7 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -24,6 +25,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cells/characterize_cache.h"
@@ -172,7 +174,7 @@ TEST(ServeProtocol, RenderResponseRoundTrips) {
 // --------------------------------------------------------------------- lru
 
 TEST(ServeLru, HitMissEvict) {
-  serve::HotLru lru(2);
+  serve::Lru<std::string> lru("test.lru", 2);
   EXPECT_FALSE(lru.get(1).has_value());
   lru.put(1, "one");
   lru.put(2, "two");
@@ -190,7 +192,7 @@ TEST(ServeLru, HitMissEvict) {
 }
 
 TEST(ServeLru, SetCapacityEvictsDown) {
-  serve::HotLru lru(8);
+  serve::Lru<std::string> lru("test.lru", 8);
   for (std::uint64_t k = 0; k < 8; ++k) lru.put(k, "v");
   lru.set_capacity(3);
   EXPECT_EQ(lru.capacity(), 3u);
@@ -200,10 +202,33 @@ TEST(ServeLru, SetCapacityEvictsDown) {
 }
 
 TEST(ServeLru, ZeroCapacityDisables) {
-  serve::HotLru lru(0);
+  serve::Lru<std::string> lru("test.lru", 0);
   lru.put(1, "one");
   EXPECT_EQ(lru.size(), 0u);
   EXPECT_FALSE(lru.get(1).has_value());
+}
+
+TEST(ServeLru, CountsUnderItsPrefixAndHoldsAnyValue) {
+  serve::Lru<std::array<double, 2>> lru("test.lru_prefix", 2);
+  const auto count = [](const char* suffix) {
+    return obs::counter(std::string("test.lru_prefix.") + suffix).value();
+  };
+  const std::uint64_t hit0 = count("hit"), miss0 = count("miss");
+  const std::uint64_t store0 = count("store"), evict0 = count("evict");
+  EXPECT_FALSE(lru.get(1).has_value());
+  lru.put(1, {1.0, -1.0});
+  lru.put(2, {2.0, -2.0});
+  EXPECT_EQ(lru.get(1).value(), (std::array<double, 2>{1.0, -1.0}));
+  lru.put(3, {3.0, -3.0});  // evicts 2, the least recent
+  EXPECT_FALSE(lru.get(2).has_value());
+  lru.put(3, {4.0, -4.0});  // a refresh is no store
+  EXPECT_EQ(count("hit"), hit0 + 1);
+  EXPECT_EQ(count("miss"), miss0 + 2);
+  EXPECT_EQ(count("store"), store0 + 3);
+  EXPECT_EQ(count("evict"), evict0 + 1);
+  lru.clear();
+  EXPECT_EQ(lru.size(), 0u);
+  EXPECT_EQ(count("evict"), evict0 + 1);
 }
 
 // --------------------------------------------------------------- admission
@@ -505,6 +530,111 @@ TEST(ServeHandlers, YieldHsShedAnswersFromModelTail) {
   EXPECT_EQ(shed.degradation, "point_mass");
 }
 
+// ---------------------------------------------------- yield_hs shift memo
+
+serve::Request make_yield_hs_request(const std::string& cell, double sigma) {
+  serve::Request request = make_arc_request("yield_hs", cell);
+  for (const auto& [name, value] :
+       {std::pair{"sigma", sigma}, std::pair{"max_samples", 8192.0}}) {
+    obs::JsonValue v;
+    v.type = obs::JsonValue::Type::kNumber;
+    v.number = value;
+    request.params.object.emplace_back(name, v);
+  }
+  return request;
+}
+
+// The comparable form of an answer: status, degradation and the result
+// at 17 significant digits.
+std::string rendered(const serve::HandlerResult& result) {
+  return result.status.to_string() + "|" + result.degradation + "|" +
+         obs::json_write(result.result, obs::JsonWriteOptions{17});
+}
+
+std::uint64_t counter_value(const char* name) {
+  return obs::counter(name).value();
+}
+
+TEST(ServeYieldHs, WarmAnswerBitwiseEqualsCold) {
+  const serve::Request request = make_yield_hs_request("INV_X1", 3.0);
+  serve::HandlerContext fresh;
+  configure_context(fresh);
+  const serve::HandlerResult cold =
+      serve::handle_request(fresh, request, serve::ExecMode::kFull);
+  ASSERT_TRUE(cold.status.is_ok()) << cold.status.to_string();
+  ASSERT_EQ(cold.result.find("method")->string, "importance");
+
+  serve::HandlerContext ctx;
+  configure_context(ctx);
+  const std::uint64_t miss0 = counter_value("serve.yield_shift.miss");
+  const serve::HandlerResult first =
+      serve::handle_request(ctx, request, serve::ExecMode::kFull);
+  EXPECT_EQ(counter_value("serve.yield_shift.miss"), miss0 + 1);
+  EXPECT_EQ(ctx.yield_shift.size(), 1u);
+  const std::uint64_t hit0 = counter_value("serve.yield_shift.hit");
+  const serve::HandlerResult warm =
+      serve::handle_request(ctx, request, serve::ExecMode::kFull);
+  EXPECT_EQ(counter_value("serve.yield_shift.hit"), hit0 + 1);
+  EXPECT_EQ(rendered(first), rendered(cold));
+  EXPECT_EQ(rendered(warm), rendered(cold));
+
+  // Another sigma is another threshold and seed: its own memo entry.
+  const serve::HandlerResult other = serve::handle_request(
+      ctx, make_yield_hs_request("INV_X1", 4.0), serve::ExecMode::kFull);
+  ASSERT_TRUE(other.status.is_ok());
+  EXPECT_EQ(ctx.yield_shift.size(), 2u);
+  EXPECT_NE(rendered(other), rendered(cold));
+
+  // The stats op reports the memo's traffic.
+  serve::Request stats;
+  stats.op = "stats";
+  const serve::HandlerResult st =
+      serve::handle_request(ctx, stats, serve::ExecMode::kFull);
+  EXPECT_EQ(st.result.number_or("yield_shift_hit", -1.0),
+            static_cast<double>(counter_value("serve.yield_shift.hit")));
+  EXPECT_EQ(st.result.number_or("yield_shift_miss", -1.0),
+            static_cast<double>(counter_value("serve.yield_shift.miss")));
+}
+
+TEST(ServeYieldHs, CancelledPilotStoresNothing) {
+  const serve::Request request = make_yield_hs_request("NAND2_X1", 3.0);
+  serve::HandlerContext ctx;
+  configure_context(ctx);
+  // Warm the entry, so the expired deadline below first fires in the
+  // pilot's sampling loop rather than in the characterization.
+  ASSERT_TRUE(serve::handle_request(ctx, make_arc_request("arc_dist",
+                                                          "NAND2_X1"),
+                                    serve::ExecMode::kFull)
+                  .status.is_ok());
+  const std::uint64_t miss0 = counter_value("serve.yield_shift.miss");
+  const std::uint64_t store0 = counter_value("serve.yield_shift.store");
+  {
+    core::DeadlineGuard guard(0.0);  // already expired
+    const serve::HandlerResult shed =
+        serve::handle_request(ctx, request, serve::ExecMode::kFull);
+    ASSERT_TRUE(shed.status.is_ok()) << shed.status.to_string();
+    EXPECT_EQ(shed.degradation, "cached");
+    EXPECT_EQ(shed.result.find("method")->string, "model_tail");
+  }
+  // The request missed the memo, then was cancelled before the store.
+  EXPECT_EQ(counter_value("serve.yield_shift.miss"), miss0 + 1);
+  EXPECT_EQ(counter_value("serve.yield_shift.store"), store0);
+  EXPECT_EQ(ctx.yield_shift.size(), 0u);
+
+  const std::uint64_t hit0 = counter_value("serve.yield_shift.hit");
+  const serve::HandlerResult full =
+      serve::handle_request(ctx, request, serve::ExecMode::kFull);
+  EXPECT_EQ(counter_value("serve.yield_shift.hit"), hit0);
+  EXPECT_EQ(counter_value("serve.yield_shift.miss"), miss0 + 2);
+
+  serve::HandlerContext fresh;
+  configure_context(fresh);
+  const serve::HandlerResult cold =
+      serve::handle_request(fresh, request, serve::ExecMode::kFull);
+  ASSERT_EQ(cold.result.find("method")->string, "importance");
+  EXPECT_EQ(rendered(full), rendered(cold));
+}
+
 // The registry document rides in the reply as is: a counter past
 // %.9g's reach still renders as its exact integer.
 TEST(ServeHandlers, MetricsOpRendersLargeCountersExactly) {
@@ -648,7 +778,7 @@ TEST_F(ServeConcurrency, EightThreadsStayValidUnderEmFaults) {
 }
 
 TEST_F(ServeConcurrency, LruSurvivesThrash) {
-  serve::HotLru lru(16);
+  serve::Lru<std::string> lru("test.lru", 16);
   std::vector<std::thread> workers;
   for (int t = 0; t < 8; ++t) {
     workers.emplace_back([&, t] {
