@@ -8,6 +8,9 @@
 # diffed against scripts/golden/path_manifest.json; the canonical form
 # of both scalar runs must also match its golden byte for byte, and
 # the ambient SIMD tier of both runs must stay within a tolerance.
+# A scalar-tier Table 1 sweep over seeds 1-30 must lose no more rows,
+# and lead every row at no fewer seeds, than scripts/golden/
+# table1_sweep.json.
 #
 # Tier-1.5 (--sanitize): the same gate rebuilt under ASan + UBSan in
 # its own build directory, plus an everything-armed fault-injection
@@ -67,9 +70,10 @@
 #        [--update-yield-golden] [build-dir]
 #        (default build-dir: build, build-asan with --sanitize,
 #        build-tsan with --tsan)
-#        --update-golden: re-record scripts/golden/qor_manifest.json
-#        and scripts/golden/path_manifest.json from the current build
-#        instead of diffing against them.
+#        --update-golden: re-record scripts/golden/qor_manifest.json,
+#        scripts/golden/path_manifest.json and scripts/golden/
+#        table1_sweep.json from the current build instead of diffing
+#        against them.
 #        --update-perf-golden: re-record scripts/golden/
 #        perf_manifest.json from the current --perf run.
 #        --update-yield-golden: re-record scripts/golden/
@@ -811,6 +815,50 @@ elif [ -f "$GOLDEN" ]; then
               "beyond the SIMD tolerance"; exit 1; }
 else
   echo "WARN: $GOLDEN missing; run scripts/check.sh --update-golden"
+fi
+
+echo "== Table 1 seed-sweep gate =="
+# One seed's Table 1 ordering is partly luck, so the scalar tier also
+# runs seeds 1-30 (~4 s): no row may lose to the best baseline at more
+# seeds, and LVF2 may lead every row at no fewer seeds, than the
+# committed sweep.
+SWEEP_GOLDEN=scripts/golden/table1_sweep.json
+mkdir -p "$SMOKE_DIR/sweep"
+LVF2_SIMD=scalar LVF2_BENCH_JSON="$SMOKE_DIR/sweep" \
+  "$BUILD_DIR/bench/bench_table1_scenarios" --seeds 1-30
+if command -v python3 >/dev/null; then
+  python3 - "$SMOKE_DIR/sweep/BENCH_table1_scenarios.json" "$SWEEP_GOLDEN" \
+    "$UPDATE_GOLDEN" <<'EOF'
+import json, sys
+run = json.load(open(sys.argv[1]))["metrics"]
+sweep = {
+    "seeds": "1-%d" % run["seeds"],
+    "samples": int(run["samples_per_scenario"]),
+    "rows": {k[len("lost."):]: {"lost": int(v),
+                                "geomean": round(run["geomean." + k[5:]], 3)}
+             for k, v in run.items() if k.startswith("lost.")},
+    "lead_every_row": int(run["lead_every_row"]),
+}
+if sys.argv[3] == "1":
+    with open(sys.argv[2], "w") as f:
+        json.dump(sweep, f, indent=2)
+        f.write("\n")
+    print(f"re-recorded {sys.argv[2]}")
+    sys.exit(0)
+golden = json.load(open(sys.argv[2]))
+assert sweep["seeds"] == golden["seeds"] and \
+    sweep["samples"] == golden["samples"], "sweep setup differs from golden"
+bad = [f"{row}: lost at {sweep['rows'][row]['lost']} seeds > {g['lost']}"
+       for row, g in golden["rows"].items()
+       if sweep["rows"][row]["lost"] > g["lost"]]
+if sweep["lead_every_row"] < golden["lead_every_row"]:
+    bad.append(f"LVF2 leads every row at {sweep['lead_every_row']} seeds "
+               f"< {golden['lead_every_row']}")
+assert not bad, "Table 1 sweep regressed vs golden: " + "; ".join(bad)
+print(f"ok: Table 1 sweep no worse than {sys.argv[2]}")
+EOF
+else
+  echo "python3 unavailable; skipped the Table 1 sweep comparison"
 fi
 
 echo "== thread-count determinism gate =="

@@ -26,7 +26,7 @@ namespace lvf2::cells {
 /// Monte-Carlo engine, the fitting code, or this codec changes
 /// behaviour: old entries then miss (and `lvf2_cache gc` collects
 /// them) instead of serving stale results.
-inline constexpr std::uint64_t kCharacterizeCacheSalt = 4;
+inline constexpr std::uint64_t kCharacterizeCacheSalt = 5;
 
 /// Content-addressed key of one characterization table entry. `salt`
 /// is the code-version salt the key is derived under (an older salt

@@ -193,29 +193,27 @@ std::optional<Mixture<C>> tail_split_start(const WeightedData& data,
   return with_first_weight<C>(std::move(comps));
 }
 
-template <class C>
-std::vector<Mixture<C>> make_starts(const WeightedData& data, std::size_t k,
-                                    std::span<const EmStart> kinds,
-                                    const stats::Moments& global,
-                                    std::uint64_t seed) {
-  std::vector<Mixture<C>> starts;
-  for (const EmStart kind : kinds) {
-    std::optional<Mixture<C>> start;
-    if (kind == EmStart::kKMeans) {
-      start = kmeans_start<C>(data, k, global, seed);
-    } else if (k == 2 && kind == EmStart::kWidthSplit) {
-      // Same-center split: location-based k-means cannot separate
-      // scale mixtures (the "Kurtosis" scenario, Fig. 3(e)).
-      start = Mixture<C>(
-          {{0.5, C::from_moments(global.mean, 0.55 * global.stddev, 0.0)},
-           {0.5, C::from_moments(global.mean, 1.45 * global.stddev,
-                                 global.skewness)}});
-    } else if (k == 2 && kind == EmStart::kTailSplit) {
-      start = tail_split_start<C>(data, global);
+// The splits are two-component starts.
+bool start_applies(EmStart kind, std::size_t k) {
+  return kind == EmStart::kKMeans || k == 2;
+}
+
+// Merges the points [lo, hi] (inclusive, x ascending) into at most
+// `groups` runs of consecutive points, each at its weighted centroid,
+// so mass and mean stay exact (DESIGN.md decision 1).
+WeightedData merge_runs(const WeightedData& data, std::size_t lo,
+                        std::size_t hi, std::size_t groups) {
+  const std::size_t group = (hi - lo + groups) / groups;
+  WeightedData merged;
+  for (std::size_t g = lo; g <= hi; g += group) {
+    double w = 0.0, wx = 0.0;
+    for (std::size_t i = g; i <= std::min(g + group - 1, hi); ++i) {
+      w += data.w[i];
+      wx += data.w[i] * data.x[i];
     }
-    if (start) starts.push_back(std::move(*start));
+    if (w > 0.0) merged.add(wx / w, w);
   }
-  return starts;
+  return merged;
 }
 
 // Folds one finished fit into the metrics registry. All instruments
@@ -224,12 +222,14 @@ std::vector<Mixture<C>> make_starts(const WeightedData& data, std::size_t k,
 void record_em_metrics(const EmReport& report) {
   static obs::Counter& fits = obs::counter("em.fits");
   static obs::Counter& iterations = obs::counter("em.iterations");
+  static obs::Counter& burst_iterations = obs::counter("em.burst_iterations");
   static obs::Counter& nonconverged = obs::counter("em.nonconverged");
   static obs::Counter& collapsed = obs::counter("em.collapsed");
   static obs::Histogram& iter_hist = obs::histogram(
       "em.iterations.per_fit", {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0});
   fits.add(1);
   iterations.add(report.iterations);
+  burst_iterations.add(report.burst_iterations);
   if (!report.converged) {
     nonconverged.add(1);
     // Accepting a non-converged fit is itself a (mild) downgrade,
@@ -329,6 +329,51 @@ const char* to_string(FitDegradation degradation) {
   return "unknown";
 }
 
+template <class C>
+std::vector<Mixture<C>> em_starts(const WeightedData& data, std::size_t k,
+                                  std::span<const EmStart> kinds,
+                                  std::uint64_t seed) {
+  const stats::Moments global =
+      stats::compute_weighted_moments(data.x, data.w);
+  std::vector<Mixture<C>> starts;
+  for (const EmStart kind : kinds) {
+    if (!start_applies(kind, k)) continue;
+    std::optional<Mixture<C>> start;
+    if (kind == EmStart::kKMeans) {
+      start = kmeans_start<C>(data, k, global, seed);
+    } else if (kind == EmStart::kWidthSplit) {
+      // Same-center split: location-based k-means cannot separate
+      // scale mixtures (the "Kurtosis" scenario, Fig. 3(e)).
+      start = Mixture<C>(
+          {{0.5, C::from_moments(global.mean, 0.55 * global.stddev, 0.0)},
+           {0.5, C::from_moments(global.mean, 1.45 * global.stddev,
+                                 global.skewness)}});
+    } else {
+      start = tail_split_start<C>(data, global);
+    }
+    if (start) starts.push_back(std::move(*start));
+  }
+  return starts;
+}
+
+WeightedData coarse_view(const WeightedData& data, std::size_t max_points) {
+  if (data.size() <= max_points) return data;
+  if (std::is_sorted(data.x.begin(), data.x.end())) {
+    return merge_runs(data, 0, data.size() - 1, max_points);
+  }
+  // Raw samples (at most likelihood_bins of them, or likelihood_bins
+  // = 0) come unsorted.
+  std::vector<std::size_t> order(data.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return data.x[a] < data.x[b];
+                   });
+  WeightedData sorted;
+  for (const std::size_t i : order) sorted.add(data.x[i], data.w[i]);
+  return merge_runs(sorted, 0, sorted.size() - 1, max_points);
+}
+
 WeightedData make_weighted_data(std::span<const double> samples,
                                 const FitOptions& options) {
   obs::TraceSpan span("em.bin");
@@ -362,23 +407,12 @@ WeightedData make_weighted_data(const stats::GridPdf& pdf,
   const std::size_t bins = options.likelihood_bins;
   if (bins > 0 && data.size() > bins) {
     // Trim the tails, which together hold < 1e-12 of the mass, then
-    // merge runs of consecutive points into at most `bins` groups,
-    // each at its weighted centroid, so mass and mean stay exact.
+    // merge the rest into at most `bins` centroid groups.
     const double tail = 0.5e-12 * data.total_weight;
     std::size_t lo = 0, hi = data.size() - 1;  // inclusive
     for (double m = data.w[lo]; m < tail; m += data.w[++lo]) {}
     for (double m = data.w[hi]; m < tail; m += data.w[--hi]) {}
-    const std::size_t group = (hi - lo + bins) / bins;
-    WeightedData merged;
-    for (std::size_t g = lo; g <= hi; g += group) {
-      double w = 0.0, wx = 0.0;
-      for (std::size_t i = g; i <= std::min(g + group - 1, hi); ++i) {
-        w += data.w[i];
-        wx += data.w[i] * data.x[i];
-      }
-      merged.add(wx / w, w);
-    }
-    data = std::move(merged);
+    data = merge_runs(data, lo, hi, bins);
   }
   record_binning(pdf.size(), data.size());
   return data;
@@ -540,6 +574,73 @@ EmRun<C> run_em(const WeightedData& data, const Mixture<C>& start,
 }
 
 template <class C>
+EmRun<C> multi_start_em(const WeightedData& data, std::size_t k,
+                        std::span<const EmStart> kinds,
+                        const FitOptions& options, EmSteps steps) {
+  // Staged multi-start (DESIGN.md decision 7): with two or more starts,
+  // a short burst each, then the remaining budget on the best burst
+  // only (EM is monotone, so the post-burst ranking is a sound pruning
+  // heuristic). A lone start runs the whole budget. Accelerated fits
+  // burst on a coarse view and rank the bursts on the full data, on
+  // which the winner always runs the rest of the budget; plain EM
+  // (grid refits) bursts on the full data.
+  const bool coarse =
+      steps == EmSteps::kAccelerated && data.size() > kBurstPoints &&
+      options.em_max_iterations > kBurstIterations &&
+      std::count_if(kinds.begin(), kinds.end(), [k](EmStart kind) {
+        return start_applies(kind, k);
+      }) >= 2;
+  const WeightedData coarse_data =
+      coarse ? coarse_view(data, kBurstPoints) : WeightedData{};
+  const WeightedData& burst_data = coarse ? coarse_data : data;
+  const std::vector<Mixture<C>> starts =
+      em_starts<C>(burst_data, k, kinds, options.seed);
+  static obs::Counter& em_restarts = obs::counter("em.restarts");
+  em_restarts.add(starts.size());
+
+  const bool staged = coarse || starts.size() >= 2;
+  const std::size_t burst =
+      staged ? std::min(kBurstIterations, options.em_max_iterations)
+             : options.em_max_iterations;
+  FitOptions burst_options = options;
+  burst_options.em_max_iterations = burst;
+  std::optional<EmRun<C>> best;
+  double best_ll = 0.0;
+  std::size_t burst_iterations = 0;
+  for (const Mixture<C>& start : starts) {
+    EmRun<C> run = run_em(burst_data, start, burst_options, steps);
+    if (staged) burst_iterations += run.report.iterations;
+    if (run.report.collapsed) continue;
+    // The coarse view's own likelihood ranks the starts worse.
+    const double ll = coarse ? run.mixture.log_likelihood(data)
+                             : run.report.log_likelihood;
+    if (!best || ll > best_ll) {
+      best = std::move(run);
+      best_ll = ll;
+    }
+  }
+  if (!best) {
+    EmRun<C> none;
+    none.report.collapsed = true;
+    none.report.burst_iterations = burst_iterations;
+    return none;
+  }
+  if (coarse) best->report.log_likelihood = best_ll;
+  if ((coarse || !best->report.converged) &&
+      options.em_max_iterations > burst) {
+    FitOptions rest = options;
+    rest.em_max_iterations = options.em_max_iterations - burst;
+    EmRun<C> final_run = run_em(data, best->mixture, rest, steps);
+    if (!final_run.report.collapsed) {
+      final_run.report.iterations += best->report.iterations;
+      best = std::move(final_run);
+    }
+  }
+  best->report.burst_iterations = burst_iterations;
+  return std::move(*best);
+}
+
+template <class C>
 std::optional<Mixture<C>> fit_mixture(const WeightedData& data,
                                       std::size_t k,
                                       std::span<const EmStart> start_kinds,
@@ -565,45 +666,14 @@ std::optional<Mixture<C>> fit_mixture(const WeightedData& data,
     return fallback;
   }
 
-  const std::vector<Mixture<C>> starts =
-      make_starts<C>(data, k, start_kinds, global, options.seed);
-  static obs::Counter& em_restarts = obs::counter("em.restarts");
-  em_restarts.add(starts.size());
-
-  // Staged multi-start (DESIGN.md decision 7): with two or more starts,
-  // a short burst each, then the remaining budget on the best burst
-  // only (EM is monotone, so the post-burst ranking is a sound pruning
-  // heuristic). A lone start runs the whole budget.
-  const std::size_t burst =
-      (starts.size() >= 2)
-          ? std::min<std::size_t>(8, options.em_max_iterations)
-          : options.em_max_iterations;
-  FitOptions burst_options = options;
-  burst_options.em_max_iterations = burst;
-  std::optional<EmRun<C>> best;
-  for (const Mixture<C>& start : starts) {
-    EmRun<C> run = run_em(data, start, burst_options, steps);
-    if (!run.report.collapsed &&
-        (!best || run.report.log_likelihood > best->report.log_likelihood)) {
-      best = std::move(run);
-    }
-  }
-  if (best && !best->report.converged && options.em_max_iterations > burst) {
-    FitOptions rest = options;
-    rest.em_max_iterations = options.em_max_iterations - burst;
-    EmRun<C> final_run = run_em(data, best->mixture, rest, steps);
-    if (!final_run.report.collapsed) {
-      final_run.report.iterations += burst;
-      best = std::move(final_run);
-    }
-  }
-
+  const EmRun<C> best =
+      multi_start_em<C>(data, k, start_kinds, options, steps);
+  rep = best.report;
   Mixture<C> model = fallback;
-  if (best) {
-    rep = best->report;
+  if (!best.report.collapsed) {
     // Canonical order: ascending mean, so LVF-style consumers reading
     // only component 1 see the dominant early mode.
-    Components<C> comps = best->mixture.components();
+    Components<C> comps = best.mixture.components();
     std::stable_sort(comps.begin(), comps.end(),
                      [](const auto& a, const auto& b) {
                        return a.dist.mean() < b.dist.mean();
@@ -623,7 +693,8 @@ std::optional<Mixture<C>> fit_mixture(const WeightedData& data,
   }
   // No run survived, or EM landed below the single-component
   // likelihood (e.g. truly unimodal data): keep the single fit.
-  if (!best || fallback.log_likelihood(data) > model.log_likelihood(data)) {
+  if (best.report.collapsed ||
+      fallback.log_likelihood(data) > model.log_likelihood(data)) {
     rep.collapsed = true;
     record_downgrade(rep, FitDegradation::kSingleSn);
     model = fallback;
@@ -690,6 +761,12 @@ std::optional<Mixture<C>> fit_mixture(std::span<const double> samples,
 #define LVF2_EM_FAMILY(C)                                                 \
   template EmRun<C> run_em(const WeightedData&, const Mixture<C>&,        \
                            const FitOptions&, EmSteps);                   \
+  template std::vector<Mixture<C>> em_starts(                             \
+      const WeightedData&, std::size_t, std::span<const EmStart>,         \
+      std::uint64_t);                                                     \
+  template EmRun<C> multi_start_em(const WeightedData&, std::size_t,      \
+                                   std::span<const EmStart>,              \
+                                   const FitOptions&, EmSteps);           \
   template std::optional<Mixture<C>> fit_mixture(                         \
       const WeightedData&, std::size_t, std::span<const EmStart>,         \
       const FitOptions&, EmReport*, EmSteps);                             \

@@ -8,6 +8,7 @@
 // (DESIGN.md decision 23).
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -71,6 +72,9 @@ struct EmReport {
   bool collapsed = false;   ///< a component degenerated; fit fell back
   bool oscillated = false;  ///< log-likelihood decreased repeatedly
                             ///< (numerical pathology; treated as collapse)
+  std::size_t burst_iterations = 0;  ///< E-steps of every multi-start
+                                     ///< burst, the losing starts'
+                                     ///< included (not in `iterations`)
   std::size_t dropped_samples = 0;  ///< non-finite samples removed
   std::size_t clipped_samples = 0;  ///< outlier samples winsorized
   FitDegradation degradation = FitDegradation::kNone;
@@ -84,6 +88,18 @@ enum class EmStart {
 };
 inline constexpr EmStart kAllStarts[] = {
     EmStart::kKMeans, EmStart::kWidthSplit, EmStart::kTailSplit};
+
+/// Staged multi-start (DESIGN.md decision 7): each start first runs a
+/// burst of kBurstIterations E-steps. An accelerated fit runs its
+/// bursts on a coarse view of at most kBurstPoints points.
+inline constexpr std::size_t kBurstIterations = 8;
+inline constexpr std::size_t kBurstPoints = 64;
+
+/// `data` in x order, runs of consecutive points merged into at most
+/// `max_points` (>= 1) groups, each at its weighted centroid: total
+/// weight and weighted mean are kept up to rounding. Data with at most
+/// `max_points` points comes back unchanged.
+WeightedData coarse_view(const WeightedData& data, std::size_t max_points);
 
 /// One EM run. report.collapsed marks a run that failed (a weight
 /// below 1e-6, a failed M-step, a non-finite or oscillating
@@ -120,6 +136,27 @@ template <class C>
 EmRun<C> run_em(const WeightedData& data, const Mixture<C>& start,
                 const FitOptions& options,
                 EmSteps steps = EmSteps::kAccelerated);
+
+/// The EM starts of `kinds` built from `data`, in order; a start that
+/// does not apply at this K (the splits need K = 2) or fails to build
+/// is left out.
+template <class C>
+std::vector<Mixture<C>> em_starts(const WeightedData& data, std::size_t k,
+                                  std::span<const EmStart> kinds,
+                                  std::uint64_t seed);
+
+/// The EM of fit_mixture, before ordering, moment pinning and the
+/// likelihood guard (k >= 2, data non-degenerate). A lone start runs
+/// the whole budget. Two or more starts each run a burst, and the
+/// rest of the budget goes on the best one. Accelerated runs on more
+/// than kBurstPoints points burst on coarse_view(data, kBurstPoints),
+/// rank the bursts by their log-likelihood on `data`, and always run
+/// the rest on `data`. report.collapsed (empty mixture) when no run
+/// survived.
+template <class C>
+EmRun<C> multi_start_em(const WeightedData& data, std::size_t k,
+                        std::span<const EmStart> kinds,
+                        const FitOptions& options, EmSteps steps);
 
 /// K-component fit from `starts` (in tie-breaking order; staged
 /// multi-start when two or more apply), with ascending-mean order,

@@ -47,9 +47,11 @@ struct FitOptions {
   /// cycle along those slow directions, so a cycle's gain stays above
   /// this tolerance until the extrapolation stops paying too. Sample
   /// fits stop at a higher likelihood than plain EM did, at fewer
-  /// iterations (DESIGN.md decision 26); the stop rule itself is not
-  /// tightened, since ll precision far below the Monte-Carlo noise of
-  /// every downstream QoR metric buys nothing.
+  /// iterations (DESIGN.md decision 26). A tighter stop does buy QoR
+  /// (ROADMAP O22's probe, with full-data bursts): at 1e-7, Table 1
+  /// over seeds 1-30 lost 34 instead of 53 of its 150 rows, for ~16 %
+  /// more LVF^2 fit time. The rule is relative to |ll|, so it also
+  /// depends on the time unit (O23).
   double em_tolerance = 1e-6;
   /// Seed for k-means initialization (deterministic fits).
   std::uint64_t seed = 0x5eed;

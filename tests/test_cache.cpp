@@ -400,10 +400,10 @@ TEST(CacheCharacterize, CorruptedEntryDegradesToRecompute) {
   EXPECT_TRUE(cells::decode_cached_entry(*healed).has_value());
 }
 
-// An entry stored under salt 3, by the builds before the accelerated
-// EM changed every LVF^2 fit, is never served: the current key misses,
-// the entry is recomputed, and the old one stays where it was for
-// `lvf2_cache gc` to collect.
+// An entry stored under salt 4, by the builds before the coarse-view
+// multi-start bursts changed every LVF^2 fit, is never served: the
+// current key misses, the entry is recomputed, and the old one stays
+// where it was for `lvf2_cache gc` to collect.
 TEST(CacheCharacterize, EntryStoredUnderPreviousSaltMisses) {
   const SmallSetup setup;
   cache::ResultCache::instance().disarm();
@@ -416,7 +416,7 @@ TEST(CacheCharacterize, EntryStoredUnderPreviousSaltMisses) {
   obs::JsonValue doc = cells::encode_cached_entry(
       setup.corner, setup.options, setup.cell, setup.label(), 0, 0, stale,
       nullptr);
-  const std::uint64_t old_salt = 3;
+  const std::uint64_t old_salt = 4;
   ASSERT_EQ(doc.object.front().first, "salt");
   doc.object.front().second.string = std::to_string(old_salt);
   const std::uint64_t old_key = cells::entry_cache_key(
